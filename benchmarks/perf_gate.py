@@ -1,10 +1,11 @@
 """CI perf-regression gate: fixed-seed micro-benchmarks vs stored baselines.
 
 Runs small, deterministic micro-benchmarks over the engine's hot paths —
-flat collation, the PPR sweep (dense / column-sparse / sparse-frontier), a
-batched subgraph build, the capture-and-replay model forward, dataset
-adapter ingestion (chunked throughput + cache warm start), and the
-sharded cluster router's throughput scaling — then gates two ways:
+flat collation, the cold collation-pack build, the PPR sweep (dense /
+column-sparse / sparse-frontier), a batched subgraph build, the
+capture-and-replay model forward, dataset adapter ingestion (chunked
+throughput + cache warm start), and the sharded cluster router's
+throughput scaling — then gates two ways:
 
 * **Absolute bounds** (always): compare against ``benchmarks/thresholds.json``.
   Wall-clock thresholds carry a tolerance multiplier (CI runners are slower
@@ -44,7 +45,8 @@ import scipy.sparse as sp
 from repro.core.model import BSG4BotModel
 from repro.datasets import load_benchmark
 from repro.ppr import multi_source_ppr
-from repro.sampling import BiasedSubgraphBuilder, collate_many, collate_subgraphs
+from repro.sampling import BiasedSubgraphBuilder, Subgraph, collate_many, collate_subgraphs
+from repro.sampling.subgraph import _CollationPack
 from repro.tensor import softmax
 from repro.tensor.replay import ReplayEngine
 
@@ -93,6 +95,35 @@ def bench_collation(graph, store) -> dict:
         "collation_cached_epoch_s": cached_s,
         "collation_flat_speedup": reference_s / flat_s,
         "collation_cached_speedup": reference_s / cached_s,
+    }
+
+
+def bench_pack_build(graph, store) -> dict:
+    """Cold collation-pack build of the whole store: the vectorized
+    ``_CollationPack.build`` against the per-subgraph reference
+    (``collate_subgraphs`` over fresh subgraph copies, so no cached
+    normalization is reused).  The pack must be byte-identical to the
+    reference blocks."""
+    subgraphs = store.subgraphs()
+    build_s, pack = _best_of(
+        3, lambda: _CollationPack.build(subgraphs, graph.relation_names, True)
+    )
+
+    def reference():
+        fresh = [Subgraph(sg.center, sg.nodes, sg.relation_edges) for sg in subgraphs]
+        return collate_subgraphs(fresh, graph)
+
+    reference_s, batch = _best_of(3, reference)
+    for name, block in batch.relation_adjacencies.items():
+        rowcounts, indices, data, nnz_offsets = pack.relations[name]
+        shift = np.repeat(pack.node_offsets[:-1], np.diff(nnz_offsets))
+        assert np.array_equal(rowcounts, np.diff(block.indptr)), "pack rowcounts diverged"
+        assert np.array_equal(nnz_offsets, block.indptr[pack.node_offsets]), "pack nnz diverged"
+        assert np.array_equal(indices + shift, block.indices), "pack indices diverged"
+        assert data.tobytes() == block.data.tobytes(), "pack data diverged"
+    return {
+        "collation_pack_build_s": build_s,
+        "collation_pack_speedup": reference_s / build_s,
     }
 
 
@@ -273,6 +304,7 @@ def run(output_path: Path = RESULTS_PATH) -> dict:
     metrics = {
         **build_metrics,
         **bench_collation(graph, store),
+        **bench_pack_build(graph, store),
         **bench_model_forward(graph, store),
         **bench_ppr(),
         # Chunked ingestion throughput + content-addressed cache warm start

@@ -18,6 +18,14 @@ that batch:
   no ``sp.block_diag``, no Python loop.  The two paths produce bit-identical
   :class:`SubgraphBatch` contents (equivalence-tested).
 
+The pack itself is built vectorized too: :func:`_pack_relation` symmetrizes,
+deduplicates and normalizes every new subgraph's edges of one relation in a
+single ``np.unique`` pass, byte-identical to the per-subgraph
+:meth:`Subgraph.normalized_relation_adjacency` reference.  The pack survives
+invalidation — :meth:`SubgraphStore.discard` cuts the removed segments out
+and appends extend it — so a serving store only ever packs the subgraphs it
+rebuilt.
+
 On top of the flat path, :meth:`SubgraphStore.collate` caches collated
 batches across epochs keyed by the (sorted) center set, so fixed evaluation
 batches — and any training batch whose membership recurs — skip re-assembly
@@ -208,6 +216,49 @@ def _segment_gather(offsets: np.ndarray, positions: np.ndarray) -> Tuple[np.ndar
     return gather, counts
 
 
+def _pack_relation(  # oracle: normalized_relation_adjacency
+    subgraphs: Sequence[Subgraph],
+    relation: str,
+    node_offsets: np.ndarray,
+    normalize: bool,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One relation's flat CSR blocks over ``subgraphs`` in one vectorized pass.
+
+    Byte-identical to concatenating every subgraph's
+    ``normalized_relation_adjacency(relation)`` block (``relation_adjacency``
+    when ``normalize`` is false).  Local edges are shifted by their
+    subgraph's node offset into one block-diagonal index space; the
+    symmetrized, self-looped edge set ``(src,dst) ∪ (dst,src) ∪ (i,i)`` is
+    deduplicated by a single ``np.unique`` over ``row * total + col``, which
+    also yields CSR order (by row, then column).  The result is binary, so
+    the GCN degree of a row is its nonzero count.  Returns ``(rowcounts,
+    indices, data, nnz_counts)`` with ``indices`` local to each block.
+    """
+    total = int(node_offsets[-1])
+    empty_i = np.empty(0, dtype=np.int64)
+    if total == 0:
+        return empty_i, empty_i, np.empty(0, dtype=np.float64), empty_i
+    edges = [sg.relation_edges.get(relation, (empty_i, empty_i)) for sg in subgraphs]
+    edge_counts = np.array([len(src) for src, _ in edges], dtype=np.int64)
+    shift = np.repeat(node_offsets[:-1], edge_counts)
+    src = np.concatenate([np.asarray(s, dtype=np.int64) for s, _ in edges]) + shift
+    dst = np.concatenate([np.asarray(d, dtype=np.int64) for _, d in edges]) + shift
+    if normalize:
+        loops = np.arange(total, dtype=np.int64)
+        src, dst = np.concatenate([src, dst, loops]), np.concatenate([dst, src, loops])
+    rows, cols = np.divmod(np.unique(src * total + dst), total)
+    rowcounts = np.bincount(rows, minlength=total)
+    owner = np.repeat(np.arange(len(subgraphs)), np.diff(node_offsets))[rows]
+    indices = cols - node_offsets[owner]
+    nnz_counts = np.bincount(owner, minlength=len(subgraphs))
+    if normalize:
+        inv_sqrt = 1.0 / np.sqrt(rowcounts.astype(np.float64))
+        data = inv_sqrt[rows] * inv_sqrt[cols]
+    else:
+        data = np.ones(rows.size, dtype=np.float64)
+    return rowcounts, indices, data, nnz_counts
+
+
 class _CollationPack:
     """Flat per-relation block arrays for every subgraph of a store.
 
@@ -215,7 +266,8 @@ class _CollationPack:
     column indices (local, un-offset) and values of every stored subgraph's
     (normalized) adjacency block, plus the node-id segments.  Collating a
     batch is then a segment gather per array — the same trick that
-    ``_induce_many`` uses for construction.
+    ``_induce_many`` uses for construction.  New subgraphs are packed by
+    :func:`_pack_relation`; removed ones are cut out by :meth:`compact`.
     """
 
     __slots__ = ("centers", "node_counts", "node_offsets", "nodes_flat", "relations")
@@ -263,44 +315,48 @@ class _CollationPack:
 
         empty_i = np.empty(0, dtype=np.int64)
         tail_counts = np.array([sg.num_nodes for sg in tail], dtype=np.int64)
-        tail_nodes = [sg.nodes for sg in tail]
+        tail_nodes = np.concatenate([sg.nodes for sg in tail]) if tail else empty_i
+        tail_offsets = _cumsum_offsets(tail_counts)
         if start:
             node_counts = np.concatenate([base.node_counts, tail_counts])
-            nodes_flat = (
-                np.concatenate([base.nodes_flat, *tail_nodes]) if tail else base.nodes_flat
-            )
+            nodes_flat = np.concatenate([base.nodes_flat, tail_nodes])
         else:
-            node_counts = tail_counts
-            nodes_flat = np.concatenate(tail_nodes) if tail else empty_i
+            node_counts, nodes_flat = tail_counts, tail_nodes
 
         relations: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         for name in relation_names:
-            blocks = [
-                sg.normalized_relation_adjacency(name)
-                if normalize
-                else sg.relation_adjacency(name)
-                for sg in tail
-            ]
-            rowcounts = [np.diff(block.indptr).astype(np.int64) for block in blocks]
-            indices = [block.indices.astype(np.int64, copy=False) for block in blocks]
-            data = [np.asarray(block.data, dtype=np.float64) for block in blocks]
-            nnz_counts = np.array([block.nnz for block in blocks], dtype=np.int64)
+            rowcounts, indices, data, nnz_counts = _pack_relation(
+                tail, name, tail_offsets, normalize
+            )
             if start:
                 base_rows, base_idx, base_data, base_off = base.relations[name]
-                relations[name] = (
-                    np.concatenate([base_rows, *rowcounts]) if blocks else base_rows,
-                    np.concatenate([base_idx, *indices]) if blocks else base_idx,
-                    np.concatenate([base_data, *data]) if blocks else base_data,
-                    _cumsum_offsets(np.concatenate([np.diff(base_off), nnz_counts])),
-                )
-            else:
-                relations[name] = (
-                    np.concatenate(rowcounts) if blocks else empty_i,
-                    np.concatenate(indices) if blocks else empty_i,
-                    np.concatenate(data) if blocks else np.empty(0, dtype=np.float64),
-                    _cumsum_offsets(nnz_counts),
-                )
+                rowcounts = np.concatenate([base_rows, rowcounts])
+                indices = np.concatenate([base_idx, indices])
+                data = np.concatenate([base_data, data])
+                nnz_counts = np.concatenate([np.diff(base_off), nnz_counts])
+            relations[name] = (rowcounts, indices, data, _cumsum_offsets(nnz_counts))
         return cls(centers, node_counts, _cumsum_offsets(node_counts), nodes_flat, relations)
+
+    def compact(self, keep: np.ndarray) -> "_CollationPack":
+        """The pack restricted to the subgraphs at positions ``keep`` (in
+        order) — one segment gather per array, nothing re-normalized."""
+        node_gather, node_counts = _segment_gather(self.node_offsets, keep)
+        relations = {}
+        for name, (rowcounts, indices, data, nnz_offsets) in self.relations.items():
+            edge_gather, nnz_counts = _segment_gather(nnz_offsets, keep)
+            relations[name] = (
+                rowcounts[node_gather],
+                indices[edge_gather],
+                data[edge_gather],
+                _cumsum_offsets(nnz_counts),
+            )
+        return _CollationPack(
+            self.centers[keep],
+            node_counts,
+            _cumsum_offsets(node_counts),
+            self.nodes_flat[node_gather],
+            relations,
+        )
 
 
 def _collate_flat(
@@ -373,8 +429,9 @@ class SubgraphStore:
     epoch-engine caches:
 
     * a :class:`_CollationPack` per ``normalize`` flag — every subgraph's
-      (normalized) relation blocks as flat arrays, built once and extended
-      incrementally when subgraphs are appended;
+      (normalized) relation blocks as flat arrays, built once in one
+      vectorized pass, extended incrementally when subgraphs are appended
+      and compacted when they are discarded;
     * a bounded LRU cache of collated batches keyed by the sorted center
       set, so recurring batch memberships (fixed evaluation batches, small
       training splits) skip assembly entirely.
@@ -520,21 +577,26 @@ class SubgraphStore:
     def discard(self, centers: Iterable[int]) -> int:
         """Drop the stored subgraphs for ``centers`` (missing ones ignored).
 
-        Removing entries invalidates the flat collation packs and the
-        collated-batch cache; untouched subgraphs themselves are kept (with
-        their cached per-relation normalizations), so the next collation
-        rebuild only re-packs — it does not re-normalize anything.
+        The flat collation packs are compacted, not dropped: the removed
+        segments are cut out by one segment gather over the surviving
+        positions, so the survivors stay packed and the rebuilt centers are
+        later appended through the incremental path.  The collated-batch
+        cache is cleared (its batches may hold removed subgraphs).
         """
-        removed = 0
+        removed = []
         with self._lock:
             for center in _as_node_array(centers):
                 if self._store.pop(int(center), None) is not None:
-                    removed += 1
+                    removed.append(int(center))
             if removed:
-                self._packs = {}
+                gone = np.array(removed, dtype=np.int64)
+                for normalize, pack in list(self._packs.items()):
+                    keep = np.flatnonzero(~np.isin(pack.centers, gone))
+                    if keep.size < pack.num_subgraphs:
+                        self._packs[normalize] = pack.compact(keep)
                 self._batch_cache.clear()
                 self._center_index = None
-        return removed
+        return len(removed)
 
     def invalidate_nodes(self, nodes: Iterable[int]) -> int:
         """Discard every subgraph containing any of ``nodes``; return count."""
@@ -552,7 +614,14 @@ class SubgraphStore:
             self._packs = {}
 
     def _collation_pack(self, normalize: bool) -> _CollationPack:
-        """Flat collation arrays, (re)built lazily and extended on append."""
+        """Flat collation arrays, built lazily and kept current.
+
+        Appends extend the existing pack (only the new subgraphs are packed,
+        vectorized) and :meth:`discard` compacts it, so after an invalidation
+        only the rebuilt centers are packed.  A full build happens only when
+        no pack exists yet (first collation, :meth:`clear_caches`, a store
+        loaded without one) or after a replacing :meth:`add`.
+        """
         with self._lock:
             pack = self._packs.get(normalize)
             relation_names = list(self.graph.relation_names)

@@ -126,7 +126,7 @@ class ShardPlan:
         full_sym = _symmetrized_relations(graph)
         for spec in self.shards:
             failure = _verify_shard(
-                spec, full_sym, self.ppr_alpha, self.ppr_epsilon
+                spec, graph, full_sym, self.ppr_alpha, self.ppr_epsilon
             )
             if failure is not None:
                 raise ShardPlanError(
@@ -203,6 +203,7 @@ def _local_graph(
 
 def _verify_shard(
     spec: ShardSpec,
+    graph: HeteroGraph,
     full_sym: Dict[str, sp.csr_matrix],
     alpha: float,
     epsilon: float,
@@ -216,9 +217,22 @@ def _verify_shard(
     member sets, and equal induced adjacency blocks — the whole per-center
     subgraph pipeline, hence (with identical embeddings and weights) equal
     scores at equal batching.
+
+    A closure covering every node keeps every edge in the original order,
+    so the sweeps would compare a matrix with itself; such a shard is
+    checked structurally instead — its local edge lists must equal the full
+    graph's, which implies (a) and (b).
     """
     sources = spec.owned
     if sources.size == 0:
+        return None
+    if spec.closure_mask.all():
+        for name in graph.relation_names:
+            full, local = graph.relation(name), spec.graph.relation(name)
+            if not (
+                np.array_equal(full.src, local.src) and np.array_equal(full.dst, local.dst)
+            ):
+                return f"saturated shard graph differs from the full graph on relation {name!r}"
         return None
     local_sym = _symmetrized_relations(spec.graph)
     for name, full in full_sym.items():
@@ -285,7 +299,7 @@ def plan_shards(
             )
             if not verify:
                 break
-            failure = _verify_shard(spec, full_sym, ppr_alpha, ppr_epsilon)
+            failure = _verify_shard(spec, graph, full_sym, ppr_alpha, ppr_epsilon)
             if failure is None:
                 break
             if hops >= max_halo_hops or closure_mask.all():

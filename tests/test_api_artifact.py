@@ -10,6 +10,7 @@ import pytest
 from repro import api
 from repro.core import BSG4Bot, BSG4BotConfig
 from repro.core.serialization import ArtifactError, MANIFEST_NAME
+from repro.sampling import Subgraph
 from tests.conftest import make_separable_graph
 
 
@@ -62,6 +63,41 @@ class TestRoundTrip:
         assert probabilities.shape == (len(targets), 2)
         np.testing.assert_allclose(probabilities.sum(axis=1), 1.0, atol=1e-9)
         assert all(node in loaded.store for node in targets)
+
+    def test_update_then_score_keeps_loaded_pack(self, trained, tmp_path, monkeypatch):
+        """A loaded server's first update compacts the persisted collation
+        pack instead of dropping it: no stored subgraph is re-normalized,
+        the pack stays current after the discard, and only the rebuilt
+        centers are packed when scoring resumes."""
+        detector, _ = trained
+        path = api.save_detector(detector, tmp_path / "artifact")
+        graph = make_separable_graph(num_nodes=70, seed=21)
+        loaded = api.load_detector(path, graph=graph)
+        session = api.DetectionSession(loaded, graph)
+        store = loaded.store
+        assert store.has_collation_pack(True)
+
+        def fail(*args, **kwargs):  # pragma: no cover - only on regression
+            raise AssertionError("a stored subgraph was re-normalized")
+
+        monkeypatch.setattr(Subgraph, "normalized_relation_adjacency", fail)
+        relation = graph.relation_names[0]
+        invalidated = session.update_graph(edges_added={relation: ([0], [1])})
+        assert invalidated > 0
+        assert store.has_collation_pack(True)
+        nodes = np.arange(graph.num_nodes)
+        rows = session.score_nodes(nodes)
+        assert store.has_collation_pack(True)
+        session.close(release_pool=False)
+
+        # Same update on a fresh load whose pack is rebuilt from scratch.
+        oracle_graph = make_separable_graph(num_nodes=70, seed=21)
+        oracle = api.load_detector(path, graph=oracle_graph)
+        oracle_session = api.DetectionSession(oracle, oracle_graph)
+        oracle_session.update_graph(edges_added={relation: ([0], [1])})
+        oracle.store.clear_caches()
+        np.testing.assert_array_equal(oracle_session.score_nodes(nodes), rows)
+        oracle_session.close(release_pool=False)
 
     def test_manifest_contents(self, trained, tmp_path):
         detector, graph = trained

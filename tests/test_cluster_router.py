@@ -16,14 +16,17 @@ import pytest
 from repro import api
 from repro.core import BSG4Bot, BSG4BotConfig
 from repro.graph import HeteroGraph
+from repro.ppr.batch import multi_source_ppr
 from repro.sampling import biased
 from repro.serving import DetectionService
 from repro.serving.cluster import (
     ClusterHTTPServer,
     ShardPlan,
+    ShardPlanError,
     ShardRouter,
     ShardSpec,
     plan_shards,
+    planner,
 )
 from tests.conftest import make_separable_graph
 
@@ -103,6 +106,37 @@ class TestShardPlan:
         assert plan.num_shards == 1
         assert plan.shards[0].num_owned == GRAPH_NODES
         assert plan.shards[0].graph.num_edges == graph.num_edges
+
+    def test_saturated_closures_skip_ppr_sweeps(self, monkeypatch):
+        """A closure covering every node is checked structurally (its edge
+        lists equal the full graph's); only strict-subset closures run the
+        PPR sweeps."""
+        calls = []
+
+        def counting_ppr(*args, **kwargs):
+            calls.append(1)
+            return multi_source_ppr(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "multi_source_ppr", counting_ppr)
+        graph = _make_graph()
+        plan = plan_shards(graph, 1, seed=0, verify=True)
+        assert plan.shards[0].closure_mask.all()
+        plan.verify(graph)
+        assert calls == []
+
+        toy, toy_graph = _toy_plan()
+        assert not any(spec.closure_mask.all() for spec in toy.shards)
+        toy.verify(toy_graph)
+        # Two shards x one relation x (local + full) sweeps.
+        assert len(calls) == 4
+
+    def test_saturated_shard_with_diverging_edges_fails_verification(self):
+        graph = _make_graph()
+        plan = plan_shards(graph, 1, seed=0, verify=True)
+        relation = graph.relation_names[0]
+        graph.add_edges(relation, np.array([0]), np.array([1]))
+        with pytest.raises(ShardPlanError, match=relation):
+            plan.verify(graph)
 
     def test_stats_schema(self):
         plan = plan_shards(_make_graph(), 2, seed=0, verify=False)
@@ -213,6 +247,9 @@ class TestRouterUpdates:
         rows = handle.result(30.0)
         owner = int(router.plan.ownership[node])
         assert handle.delta_seqs[owner] >= sequences[owner]
+        # The wave waited only on the owner shard; the other shard applies
+        # the broadcast row from its idle loop, so wait for every backlog.
+        router.drain()
         for spec in router.plan.shards:
             np.testing.assert_array_equal(spec.graph.features[node], new_row)
         router.close()

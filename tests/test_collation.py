@@ -5,13 +5,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.graph import HeteroGraph
 from repro.sampling import (
     BiasedSubgraphBuilder,
+    Subgraph,
     SubgraphStore,
     collate_many,
     collate_subgraphs,
 )
+from repro.sampling.subgraph import _CollationPack, _cumsum_offsets
 from tests.conftest import make_separable_graph
 
 
@@ -88,6 +93,200 @@ class TestFlatCollationEquivalence:
         np.testing.assert_array_equal(
             after.nodes_flat[: before.nodes_flat.size], before.nodes_flat
         )
+
+
+# ----------------------------------------------------------------------
+# Vectorized pack builder vs the per-subgraph reference
+# ----------------------------------------------------------------------
+PACK_NODES = 40
+PACK_RELATIONS = ("r0", "r1", "r2")
+
+
+def _pack_graph() -> HeteroGraph:
+    """Node space for hand-made subgraphs; its own edges are never read."""
+    rng = np.random.default_rng(0)
+    return HeteroGraph(
+        PACK_NODES,
+        rng.normal(size=(PACK_NODES, 3)),
+        rng.integers(0, 2, PACK_NODES),
+        {name: (np.array([0]), np.array([1])) for name in PACK_RELATIONS},
+    )
+
+
+def _reference_pack_arrays(subgraphs, graph, normalize):
+    """Pack arrays re-derived from the ``collate_subgraphs`` blocks (each
+    block is the subgraph's ``normalized_relation_adjacency``, or its
+    ``relation_adjacency`` when ``normalize`` is false)."""
+    batch = collate_subgraphs(subgraphs, graph, normalize=normalize)
+    node_offsets = _cumsum_offsets(np.array([sg.num_nodes for sg in subgraphs]))
+    arrays = {}
+    for name, block in batch.relation_adjacencies.items():
+        nnz_offsets = block.indptr[node_offsets].astype(np.int64)
+        shift = np.repeat(node_offsets[:-1], np.diff(nnz_offsets))
+        arrays[name] = (
+            np.diff(block.indptr).astype(np.int64),
+            block.indices.astype(np.int64) - shift,
+            block.data,
+            nnz_offsets,
+        )
+    return arrays
+
+
+def assert_same_relations(left, right) -> None:
+    """Byte-identical per-relation pack arrays (values and dtypes)."""
+    assert list(left) == list(right)
+    for name, arrays in left.items():
+        for mine, theirs in zip(arrays, right[name]):
+            assert mine.dtype == theirs.dtype
+            assert mine.tobytes() == theirs.tobytes()
+
+
+def assert_same_pack(left, right) -> None:
+    assert left.centers.tobytes() == right.centers.tobytes()
+    assert left.node_counts.tobytes() == right.node_counts.tobytes()
+    assert left.node_offsets.tobytes() == right.node_offsets.tobytes()
+    assert left.nodes_flat.tobytes() == right.nodes_flat.tobytes()
+    assert_same_relations(left.relations, right.relations)
+
+
+def assert_pack_matches_reference(subgraphs, graph) -> None:
+    for normalize in (True, False):
+        pack = _CollationPack.build(subgraphs, graph.relation_names, normalize)
+        assert_same_relations(
+            pack.relations, _reference_pack_arrays(subgraphs, graph, normalize)
+        )
+
+
+def _edge_list(num_nodes):
+    endpoint = st.integers(0, num_nodes - 1)
+    return st.lists(st.tuples(endpoint, endpoint), max_size=12)
+
+
+@st.composite
+def _subgraph_lists(draw):
+    centers = draw(
+        st.lists(st.integers(0, PACK_NODES - 1), min_size=1, max_size=8, unique=True)
+    )
+    subgraphs = []
+    for center in centers:
+        others = draw(
+            st.lists(
+                st.sampled_from([node for node in range(PACK_NODES) if node != center]),
+                max_size=5,
+                unique=True,
+            )
+        )
+        num_nodes = 1 + len(others)
+        relation_edges = {}
+        for name in PACK_RELATIONS:
+            if draw(st.booleans()):  # else: relation missing from the dict
+                pairs = draw(_edge_list(num_nodes))
+                relation_edges[name] = (
+                    np.array([src for src, _ in pairs], dtype=np.int64),
+                    np.array([dst for _, dst in pairs], dtype=np.int64),
+                )
+        subgraphs.append(Subgraph(center, np.array([center, *others]), relation_edges))
+    return subgraphs
+
+
+class TestVectorizedPack:
+    @given(subgraphs=_subgraph_lists())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_subgraph_reference(self, subgraphs):
+        """``_pack_relation`` output is byte-identical to the per-subgraph
+        ``normalized_relation_adjacency`` / ``relation_adjacency`` blocks
+        that ``collate_subgraphs`` stacks, for both ``normalize`` flags."""
+        assert_pack_matches_reference(subgraphs, _pack_graph())
+
+    def test_edge_cases(self):
+        """No edges, a missing relation, duplicate / self-loop / reciprocal
+        edges and single-node subgraphs, in one pack."""
+
+        def edges(*pairs):
+            return (
+                np.array([src for src, _ in pairs], dtype=np.int64),
+                np.array([dst for _, dst in pairs], dtype=np.int64),
+            )
+
+        subgraphs = [
+            Subgraph(3, np.array([3]), {"r0": edges(), "r1": edges((0, 0))}),
+            Subgraph(
+                5,
+                np.array([5, 8, 9, 11]),
+                {
+                    "r0": edges((0, 1), (0, 1), (1, 0), (2, 2), (3, 1), (1, 3)),
+                    "r2": edges((2, 0), (0, 2), (0, 2)),
+                },
+            ),
+            Subgraph(7, np.array([7]), {}),
+            Subgraph(1, np.array([1, 2]), {"r1": edges((1, 1), (1, 1), (0, 1))}),
+        ]
+        assert_pack_matches_reference(subgraphs, _pack_graph())
+
+    def test_empty_input(self):
+        for normalize in (True, False):
+            pack = _CollationPack.build([], PACK_RELATIONS, normalize)
+            assert pack.num_subgraphs == 0
+            for rowcounts, indices, data, offsets in pack.relations.values():
+                assert rowcounts.size == indices.size == data.size == 0
+                assert offsets.tolist() == [0]
+
+    def test_build_never_renormalizes_per_subgraph(self, hetero_graph, monkeypatch):
+        builder = BiasedSubgraphBuilder(hetero_graph, hetero_graph.features, k=4)
+        store = builder.build_store(range(30))
+
+        def fail(*args, **kwargs):  # pragma: no cover - only on regression
+            raise AssertionError("pack build called the per-subgraph reference")
+
+        monkeypatch.setattr(Subgraph, "normalized_relation_adjacency", fail)
+        store.collate(range(30))
+        assert store.has_collation_pack()
+
+
+class TestPackCompaction:
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, PACK_NODES - 1), max_size=6, unique=True),
+                st.lists(st.integers(0, PACK_NODES - 1), max_size=6, unique=True),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_add_discard_interleavings_match_fresh_build(self, steps, seed):
+        """After any interleaving of appends, discards and collations, the
+        store's (extended, compacted) packs equal a from-scratch build over
+        the survivors, and a current pack stays current across a discard."""
+        graph = _pack_graph()
+        store = SubgraphStore(graph)
+        rng = np.random.default_rng(seed)
+        for added, discarded, collate in steps:
+            for center in added:
+                if center in store:
+                    continue
+                others = rng.choice(PACK_NODES, size=int(rng.integers(0, 4)), replace=False)
+                others = others[others != center]
+                num_nodes = 1 + others.size
+                relation_edges = {
+                    name: tuple(rng.integers(0, num_nodes, (2, int(rng.integers(0, 6)))))
+                    for name in PACK_RELATIONS[: int(rng.integers(0, 4))]
+                }
+                store.add(Subgraph(center, np.array([center, *others]), relation_edges))
+            if collate and len(store):
+                store.collate(store.nodes())
+                store.collate(store.nodes(), normalize=False)
+            current = store.has_collation_pack(True)
+            store.discard(discarded)
+            assert store.has_collation_pack(True) or not current
+            for normalize in (True, False):
+                assert_same_pack(
+                    store._collation_pack(normalize),
+                    _CollationPack.build(store.subgraphs(), graph.relation_names, normalize),
+                )
 
 
 class TestBatchCache:
