@@ -3,9 +3,9 @@
 Runs small, deterministic micro-benchmarks over the engine's hot paths —
 flat collation, the cold collation-pack build, the PPR sweep (dense /
 column-sparse / sparse-frontier), a batched subgraph build, the
-capture-and-replay model forward, dataset adapter ingestion (chunked
-throughput + cache warm start), and the sharded cluster router's
-throughput scaling — then gates two ways:
+capture-and-replay model forward, the compiled training step, dataset
+adapter ingestion (chunked throughput + cache warm start), and the sharded
+cluster router's throughput scaling — then gates two ways:
 
 * **Absolute bounds** (always): compare against ``benchmarks/thresholds.json``.
   Wall-clock thresholds carry a tolerance multiplier (CI runners are slower
@@ -47,8 +47,9 @@ from repro.datasets import load_benchmark
 from repro.ppr import multi_source_ppr
 from repro.sampling import BiasedSubgraphBuilder, Subgraph, collate_many, collate_subgraphs
 from repro.sampling.subgraph import _CollationPack
-from repro.tensor import softmax
+from repro.tensor import Adam, softmax
 from repro.tensor.replay import ReplayEngine
+from repro.tensor.train_replay import TrainReplayEngine, eager_train_step
 
 try:  # package import (pytest adds the repo root to sys.path)
     from benchmarks.bench_ingest import gate_metrics as ingest_gate_metrics
@@ -213,6 +214,75 @@ def bench_model_forward(graph, store) -> dict:
     }
 
 
+def bench_train_step(graph, store) -> dict:
+    """Compiled training step vs the eager step (``repro.tensor.replay``).
+
+    Two identically seeded models train over the same fixed epoch — full
+    64-center batches plus a 32-center tail, so both training buckets
+    compile — one through ``eager_train_step``, the other through a
+    :class:`TrainReplayEngine`.  Both arms run the same number of passes in
+    the same order, so after every pass their parameters, gradients, Adam
+    moments and dropout generators must be bitwise equal; a step that got
+    faster by diverging fails the gate.
+    """
+    rng = np.random.default_rng(13)
+    nodes = rng.permutation(graph.num_nodes)
+    batches = [
+        store.collate(nodes[start : start + BATCH_SIZE])
+        for start in range(0, 160, BATCH_SIZE)
+    ]
+    class_weight = np.array([0.8, 1.4])
+    arms = []
+    for _ in range(2):
+        model = BSG4BotModel(
+            graph.num_features,
+            hidden_dim=32,
+            relation_names=graph.relation_names,
+            rng=np.random.default_rng(7),
+        ).train()
+        arms.append((model, Adam(model.parameters(), lr=0.01)))
+    (eager_model, eager_opt), (replay_model, replay_opt) = arms
+    engine = TrainReplayEngine(
+        replay_model, replay_opt, class_weight=class_weight, weight_decay=5e-4, capture=True
+    )
+
+    def eager_pass():
+        return [
+            eager_train_step(eager_model, eager_opt, batch, class_weight, 5e-4).item()
+            for batch in batches
+        ]
+
+    def replay_pass():
+        return [engine.step(batch) for batch in batches]
+
+    def assert_same():
+        assert eager_pass() == replay_pass(), "compiled training loss diverged from eager"
+        pairs = zip(eager_opt.parameters, replay_opt.parameters)
+        assert all(a.data.tobytes() == b.data.tobytes() for a, b in pairs), (
+            "compiled training step diverged from eager"
+        )
+        moments = zip(eager_opt._m + eager_opt._v, replay_opt._m + replay_opt._v)
+        assert all(a.tobytes() == b.tobytes() for a, b in moments), (
+            "compiled Adam moments diverged from eager"
+        )
+        assert repr(eager_model.dropout.rng.bit_generator.state) == repr(
+            replay_model.dropout.rng.bit_generator.state
+        ), "compiled dropout drew a different stream"
+
+    assert_same()  # traces and compiles both buckets
+    assert not engine.disabled, "training replay disabled itself during the gate"
+    eager_s, _ = _best_of(5, eager_pass)
+    replay_s, _ = _best_of(5, replay_pass)
+    assert_same()
+    assert engine.stats["replay_misses"] == 2, "training replay recompiled a bucket"
+    count = len(batches)
+    return {
+        "train_step_eager_s": eager_s / count,
+        "train_step_replay_s": replay_s / count,
+        "train_step_replay_speedup": eager_s / replay_s,
+    }
+
+
 def bench_tracing(graph, store) -> dict:
     """Per-request tracing overhead on the serving path.
 
@@ -306,6 +376,7 @@ def run(output_path: Path = RESULTS_PATH) -> dict:
         **bench_collation(graph, store),
         **bench_pack_build(graph, store),
         **bench_model_forward(graph, store),
+        **bench_train_step(graph, store),
         **bench_ppr(),
         # Chunked ingestion throughput + content-addressed cache warm start
         # (asserts synthetic regeneration determinism internally).

@@ -34,6 +34,7 @@ GATED_MODULES: Tuple[str, ...] = (
     "repro/ppr/batch.py",
     "repro/sampling/subgraph.py",
     "repro/tensor/replay.py",
+    "repro/tensor/train_replay.py",
 )
 
 #: Module pragma that opts any file into this checker (fixtures use it).

@@ -26,7 +26,6 @@ needed:
 from __future__ import annotations
 
 import inspect
-import os
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
@@ -35,7 +34,7 @@ from repro.analysis.sanitizer import tracked_rlock
 from repro.core.base import BotDetector
 from repro.graph import HeteroGraph
 from repro.sampling.biased import shutdown_shared_pool
-from repro.tensor.replay import ReplayEngine
+from repro.tensor.replay import ReplayEngine, replay_enabled
 
 
 def validate_edge_additions(
@@ -151,7 +150,7 @@ class DetectionSession:
         # always-eager mode, which still times the model forward so replay
         # and eager deployments report comparable model_time metrics.
         if use_replay is None:
-            use_replay = os.environ.get("REPRO_REPLAY", "1") != "0"
+            use_replay = replay_enabled()
         self._use_replay = bool(use_replay)
         self._replay_engine = None
         # Whether detector.predict_proba_nodes accepts the engine kwarg —

@@ -30,6 +30,7 @@ from repro.nn import Dropout, GATConv, GCNConv, Linear, RGCNConv
 from repro.sampling import BiasedSubgraphBuilder, SubgraphStore
 from repro.sampling.subgraph import SubgraphBatch
 from repro.tensor import Module, Tensor, leaky_relu, relu
+from repro.tensor.replay import ReplayEngine, replay_enabled
 
 
 class _SubgraphGCNBackbone(Module):
@@ -158,12 +159,15 @@ class BiasedSubgraphPluginDetector(BotDetector):
             config.dropout,
             np.random.default_rng(config.seed + 1),
         )
+        # Validation scoring replays the inference forward where the
+        # backbone allows it (bit-identical by contract).
+        engine = ReplayEngine(capture=replay_enabled())
         history = train_subgraph_classifier(
             self.model,
             self.model.parameters(),
             self.store,
             train_nodes,
-            lambda: self._score_nodes(val_nodes),
+            lambda: self._score_nodes(val_nodes, engine),
             class_weight=class_weight,
             lr=config.lr,
             weight_decay=config.weight_decay,
@@ -231,20 +235,25 @@ class BiasedSubgraphPluginDetector(BotDetector):
             return 0
         return self.store.invalidate_nodes(nodes)
 
-    def _score_nodes(self, nodes: np.ndarray) -> float:
-        probabilities = self.predict_proba_nodes(nodes)
+    def _score_nodes(self, nodes: np.ndarray, engine=None) -> float:
+        probabilities = self._predict(nodes, engine)
         predictions = probabilities.argmax(axis=1)
         truth = self.graph.labels[nodes]
         return 0.5 * (f1_score(truth, predictions) + accuracy_score(truth, predictions))
 
     def predict_proba_nodes(self, nodes: np.ndarray) -> np.ndarray:
         """Probabilities for just ``nodes`` (the serve-many scoring path)."""
+        return self._predict(nodes)
+
+    def _predict(self, nodes: np.ndarray, engine=None) -> np.ndarray:
+        # ``engine`` stays off the public signature: sessions hand their
+        # replay engine to any ``predict_proba_nodes`` that accepts one.
         if self.model is None:
             raise RuntimeError("detector must be fitted first")
         nodes = np.asarray(nodes, dtype=np.int64)
         self._ensure_subgraphs(nodes)
         return predict_subgraph_proba(
-            self.model, self.store, nodes, self.config.batch_size
+            self.model, self.store, nodes, self.config.batch_size, engine=engine
         )
 
     def predict_proba(self, graph: HeteroGraph) -> np.ndarray:

@@ -107,10 +107,11 @@ class BSG4BotModel(Module):
     def forward(self, batch: SubgraphBatch) -> Tensor:
         """Logits for the start (center) node of every subgraph in the batch.
 
-        Note: the serving path may execute this forward through the
-        capture-and-replay engine (``repro.tensor.replay``), which runs raw
-        kernels instead of these ops; ``last_relation_weights`` is a debug
-        side effect of the *eager* pass only and is not refreshed by a
+        Note: serving, validation scoring during ``fit`` and training steps
+        may execute this forward through the capture-and-replay engines
+        (``repro.tensor.replay``, ``repro.tensor.train_replay``), which run
+        raw kernels instead of these ops; ``last_relation_weights`` is a
+        debug side effect of the *eager* pass only and is not refreshed by a
         replayed forward.
         """
         fused = self.node_embeddings(batch)

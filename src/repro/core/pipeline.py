@@ -45,6 +45,7 @@ from repro.sampling import (
     PPRSubgraphBuilder,
     SubgraphStore,
 )
+from repro.tensor.replay import ReplayEngine, replay_enabled
 
 
 class BSG4Bot(BotDetector):
@@ -242,6 +243,10 @@ class BSG4Bot(BotDetector):
         self.store = self._build_subgraphs(graph, needed)
 
         self.build_model(graph.num_features, graph.relation_names)
+        # Validation scoring replays the inference forward (bit-identical by
+        # contract, so snapshot selection is unchanged); REPRO_REPLAY=0
+        # keeps it eager.
+        engine = ReplayEngine(capture=replay_enabled())
         # Snapshot selection breaks validation-score ties toward the lower
         # training loss (``snapshot_tie_break="loss"``): tiny validation
         # splits saturate immediately and keeping the first saturating epoch
@@ -255,7 +260,7 @@ class BSG4Bot(BotDetector):
                 self.model.parameters(),
                 self.store,
                 train_nodes,
-                lambda: self._score_nodes(val_nodes),
+                lambda: self._score_nodes(val_nodes, engine=engine),
                 class_weight=class_weight,
                 lr=config.lr,
                 weight_decay=config.weight_decay,
@@ -270,10 +275,10 @@ class BSG4Bot(BotDetector):
         self.history = history
         return history
 
-    def _score_nodes(self, nodes: np.ndarray, metric: str = "f1+accuracy") -> float:
+    def _score_nodes(self, nodes: np.ndarray, metric: str = "f1+accuracy", engine=None) -> float:
         if nodes.size == 0:
             return 0.0
-        probabilities = self.predict_proba_nodes(nodes)
+        probabilities = self.predict_proba_nodes(nodes, engine=engine)
         predictions = probabilities.argmax(axis=1)
         truth = self.graph.labels[nodes]
         if metric == "f1":

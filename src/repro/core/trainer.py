@@ -236,7 +236,17 @@ def train_subgraph_classifier(
     # single-batch regime — where every epoch is the same membership — goes
     # through the cache; larger epochs use the flat path directly.
     cache_training_batches = train_nodes.size <= batch_size
+    # Imported here, not at module level: serving loads this module through
+    # the pipeline but never trains, so it skips compiling the engine.
+    from repro.tensor.train_replay import TrainReplayEngine
+
     optimizer = Adam(parameters, lr=lr)
+    # Each step is forward + fused CE/L2 + backward + Adam
+    # (``eager_train_step``), replayed from a compiled schedule per shape
+    # bucket unless REPRO_REPLAY=0 or the model defeats capture.
+    engine = TrainReplayEngine(
+        model, optimizer, class_weight=class_weight, weight_decay=weight_decay
+    )
     stopper = EarlyStopping(patience=patience)
     history = TrainingHistory()
     best_state = [p.data.copy() for p in parameters]
@@ -251,21 +261,7 @@ def train_subgraph_classifier(
         for batch in store.batches(
             train_nodes, batch_size, rng=rng, use_cache=cache_training_batches
         ):
-            optimizer.zero_grad(set_to_none=False)
-            logits = model(batch)
-            # Fused CE + L2: bit-identical to the composed
-            # ``cross_entropy(...) + l2_penalty(...)`` graph, two nodes
-            # instead of ~10 + 3 per parameter.
-            loss = fused_cross_entropy(
-                logits,
-                batch.labels,
-                weight=class_weight,
-                parameters=parameters,
-                weight_decay=weight_decay,
-            )
-            loss.backward()
-            optimizer.step()
-            epoch_losses.append(loss.item())
+            epoch_losses.append(engine.step(batch))
 
         score = score_fn()
         mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0

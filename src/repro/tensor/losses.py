@@ -6,7 +6,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor, log_softmax, _ensure_tensor
+from repro.tensor.tensor import Tensor, _ensure_tensor, _record, log_softmax
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray, weight: Optional[np.ndarray] = None) -> Tensor:
@@ -47,6 +47,61 @@ def l2_penalty(parameters: Iterable[Tensor], coefficient: float) -> Tensor:
     return total * coefficient
 
 
+def _fused_ce_forward(logits_data: np.ndarray, labels: np.ndarray, weight: Optional[np.ndarray]):
+    """CE value of :func:`fused_cross_entropy` plus the context its backward needs.
+
+    Shared by the eager node and the training replay kernel, so both run the
+    composed graph's expressions verbatim.
+    """
+    num_rows = labels.shape[0]
+    rows = np.arange(num_rows)
+    shifted = logits_data - logits_data.max(axis=-1, keepdims=True)
+    log_sum = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    log_probs = shifted - log_sum
+    probs = np.exp(log_probs)
+    picked = log_probs[rows, labels]
+    if weight is not None:
+        sample_weight = weight[labels]
+        scale = np.asarray(1.0 / max(float(sample_weight.sum()), 1e-12))
+        value = (-(picked * sample_weight).sum()) * scale
+    else:
+        sample_weight = None
+        scale = np.asarray(1.0 / num_rows)
+        value = -(picked.sum() * scale)
+    return value, (rows, labels, log_probs, probs, sample_weight, scale)
+
+
+def _fused_ce_backward(grad: np.ndarray, context) -> np.ndarray:
+    """Gradient of the CE term w.r.t. the logits (see :func:`_fused_ce_forward`)."""
+    rows, labels, log_probs, probs, sample_weight, scale = context
+    num_rows = labels.shape[0]
+    if sample_weight is not None:
+        # Composed chain: root-mul -> neg -> sum -> mul(sample_weight) ->
+        # getitem -> log_softmax, each step's expression verbatim.
+        grad_neg = np.multiply(grad, scale)
+        grad_total = -grad_neg
+        grad_product = np.broadcast_to(np.asarray(grad_total), (num_rows,)).copy()
+        grad_picked = grad_product * sample_weight
+    else:
+        # Composed chain: neg -> mul(1/B) -> sum -> getitem -> log_softmax.
+        grad_mean = -grad
+        grad_sum = np.multiply(grad_mean, scale)
+        grad_picked = np.broadcast_to(np.asarray(grad_sum), (num_rows,)).copy()
+    full = np.zeros_like(log_probs)
+    np.add.at(full, (rows, labels), grad_picked)
+    total = full.sum(axis=-1, keepdims=True)
+    return full - probs * total
+
+
+def _l2_forward(datas, coefficient: np.ndarray) -> np.ndarray:
+    """The composed ``l2_penalty`` left-fold over raw parameter arrays."""
+    total_sq: Optional[np.ndarray] = None
+    for data in datas:
+        term = (data * data).sum()
+        total_sq = term if total_sq is None else total_sq + term
+    return np.asarray(0.0) if total_sq is None else total_sq * coefficient
+
+
 def fused_cross_entropy(
     logits: Tensor,
     labels: np.ndarray,
@@ -68,70 +123,23 @@ def fused_cross_entropy(
     """
     labels = np.asarray(labels, dtype=np.int64)
     parameters = tuple(parameters)
-    num_rows = labels.shape[0]
-    rows = np.arange(num_rows)
     logits_t = _ensure_tensor(logits)
-
-    # Forward exactly as the composed graph computes it, on raw arrays.
-    logits_data = logits_t.data
-    shifted = logits_data - logits_data.max(axis=-1, keepdims=True)
-    log_sum = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - log_sum
-    probs = np.exp(log_probs)
-    picked = log_probs[rows, labels]
     if weight is not None:
         weight = np.asarray(weight, dtype=np.float64)
-        sample_weight = weight[labels]
-        scale = np.asarray(1.0 / max(float(sample_weight.sum()), 1e-12))
-        ce_value = (-(picked * sample_weight).sum()) * scale
-    else:
-        inv_count = np.asarray(1.0 / num_rows)
-        ce_value = -(picked.sum() * inv_count)
 
+    ce_value, context = _fused_ce_forward(logits_t.data, labels, weight)
     ce_node = Tensor(ce_value, requires_grad=logits_t.requires_grad, _parents=(logits_t,))
-
-    if weight is not None:
-
-        def ce_backward(grad: np.ndarray):
-            # Composed chain: root-mul → neg → sum → mul(sample_weight) →
-            # getitem → log_softmax, each step's expression verbatim.
-            grad_neg = np.multiply(grad, scale)
-            grad_total = -grad_neg
-            grad_product = np.broadcast_to(np.asarray(grad_total), (num_rows,)).copy()
-            grad_picked = grad_product * sample_weight
-            full = np.zeros_like(log_probs)
-            np.add.at(full, (rows, labels), grad_picked)
-            total = full.sum(axis=-1, keepdims=True)
-            return ((logits_t, full - probs * total),)
-
-    else:
-
-        def ce_backward(grad: np.ndarray):
-            # Composed chain: neg → mul(1/B) → sum → getitem → log_softmax.
-            grad_mean = -grad
-            grad_sum = np.multiply(grad_mean, inv_count)
-            grad_picked = np.broadcast_to(np.asarray(grad_sum), (num_rows,)).copy()
-            full = np.zeros_like(log_probs)
-            np.add.at(full, (rows, labels), grad_picked)
-            total = full.sum(axis=-1, keepdims=True)
-            return ((logits_t, full - probs * total),)
-
-    ce_node._backward = ce_backward
+    ce_node._backward = lambda grad: ((logits_t, _fused_ce_backward(grad, context)),)
+    _record("fused_ce", ce_node, (logits_t,), {"labels": labels, "weight": weight})
 
     # L2 term as one node over all parameters.  Forward is the composed
     # left-fold; backward delivers, per parameter, the two identical pairs
     # the ``p * p`` node would (the duplication is load-bearing: the
     # accumulation order in ``Tensor.backward`` brackets the sums the same
     # way only if the contribution count matches).
-    total_sq: Optional[np.ndarray] = None
-    for param in parameters:
-        term = (param.data * param.data).sum()
-        total_sq = term if total_sq is None else total_sq + term
     coefficient = np.asarray(weight_decay, dtype=np.float64)
-    l2_value = np.asarray(0.0) if total_sq is None else total_sq * coefficient
-
     l2_node = Tensor(
-        l2_value,
+        _l2_forward([param.data for param in parameters], coefficient),
         requires_grad=any(param.requires_grad for param in parameters),
         _parents=parameters,
     )
@@ -149,5 +157,6 @@ def fused_cross_entropy(
             return tuple(pairs)
 
         l2_node._backward = l2_backward
+    _record("l2", l2_node, parameters, {"coefficient": coefficient})
 
     return ce_node + l2_node

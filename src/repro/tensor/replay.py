@@ -1,9 +1,9 @@
 """Capture-and-replay inference engine for the serving forward pass.
 
-Serving never needs gradients, yet the eager engine pays for them on every
-wave: a Python :class:`~repro.tensor.Tensor` object, a parent tuple, and a
-freshly allocated output array per op.  This module removes all of it from
-the steady state:
+The eager engine pays, on every op, for a Python :class:`~repro.tensor.Tensor`
+object, a parent tuple and a freshly allocated output array.  This module
+removes all of it from the steady state of the serving forward
+(:class:`ReplayEngine`):
 
 1. **Capture** — the first wave landing in a shape bucket runs eagerly under
    :func:`repro.tensor.inference_mode` with a :class:`Tape` installed; every
@@ -44,8 +44,12 @@ creates its own and serializes every call under the session lock
 (guarded-by: DetectionSession._lock).  Tracing state is thread-local, so a
 trace in one session never records another thread's ops.
 
-Disable with ``REPRO_REPLAY=0`` (environment) or
-``DetectionSession(..., use_replay=False)``; cap the per-engine bucket cache
+**Training.**  :mod:`repro.tensor.train_replay` builds on this tape and
+compiler to replay a whole training step — forward with dropout, fused
+CE + L2 loss, backward and Adam — from one captured schedule.
+
+Disable both engines with ``REPRO_REPLAY=0`` (environment), a session's with
+``DetectionSession(..., use_replay=False)``; cap the per-session bucket cache
 with ``REPRO_REPLAY_BUCKETS`` (default 8, LRU-evicted).
 """
 
@@ -83,6 +87,11 @@ _SYM_CENTERS = "C"
 
 class ReplayUnsupported(RuntimeError):
     """The traced forward cannot be compiled into a replay schedule."""
+
+
+def replay_enabled() -> bool:
+    """Whether replay is on: ``REPRO_REPLAY=0`` turns off both engines."""
+    return os.environ.get("REPRO_REPLAY", "1") != "0"
 
 
 def eager_forward_proba(model, batch) -> np.ndarray:
@@ -263,17 +272,28 @@ class CompiledForward:
         self._consts: List[Tuple[int, Any]] = []
         self._slot_binds: List[Tuple[int, Any]] = []
         for index, value in enumerate(values):
-            if value.kind == "buffer":
-                if value.sym0 is None:
-                    self._template[index] = value.buffer
-                else:
-                    self._sliced.append((index, value.buffer, value.sym0))
-            elif value.kind == "const":
+            if value.kind == "const":
                 self._consts.append((index, value.tensor))
-            else:
+            elif value.kind == "slot":
                 self._slot_binds.append((index, value.slot))
+        self._bind_buffers()
 
-    def run(self, batch) -> np.ndarray:
+    def _bind_buffers(self) -> None:
+        self._sliced = []
+        for index, value in enumerate(self._values):
+            if value.kind != "buffer":
+                continue
+            buffer = self._buffer(value)
+            if value.sym0 is None:
+                self._template[index] = buffer
+            else:
+                self._sliced.append((index, buffer, value.sym0))
+
+    def _buffer(self, value: _Value) -> np.ndarray:
+        return value.buffer
+
+    def _execute(self, batch) -> List[Any]:
+        """Bind the batch, run every kernel, return the value list."""
         dims = {
             _SYM_NODES: int(batch.features.shape[0]),
             _SYM_CENTERS: int(batch.center_positions.size),
@@ -287,15 +307,24 @@ class CompiledForward:
         for index, tensor in self._consts:
             arrays[index] = tensor.data
         for index, slot in self._slot_binds:
-            if slot == "features":
-                arrays[index] = batch.features
-            elif slot == "centers":
-                arrays[index] = batch.center_positions
-            else:  # ("adjacency", name)
-                arrays[index] = batch.relation_adjacencies[slot[1]]
+            arrays[index] = _batch_slot(batch, slot)
         for kernel in self._kernels:
             kernel(arrays)
-        return arrays[self._output_index].copy()
+        return arrays
+
+    def run(self, batch) -> np.ndarray:
+        return self._execute(batch)[self._output_index].copy()
+
+
+def _batch_slot(batch, slot):
+    """The batch array a schedule slot names."""
+    if slot == "features":
+        return batch.features
+    if slot == "centers":
+        return batch.center_positions
+    if slot == "labels":
+        return batch.labels
+    return batch.relation_adjacencies[slot[1]]  # ("adjacency", name)
 
 
 #: Elementwise ops whose kernel may write into a dead input's buffer.
@@ -324,6 +353,15 @@ _INPLACE_OPS = frozenset(
 # off their contiguous fast path on strided destinations, costing ~3x more
 # than the memcpy-speed ``np.concatenate`` copies they would save.  Concat
 # outputs therefore stay ordinary owned buffers.
+
+
+class _ConstRef:
+    """A constant array addressed like a live-read ``Tensor`` (``.data``)."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, data) -> None:
+        self.data = data
 
 
 class _Compiler:
@@ -695,15 +733,7 @@ class _Compiler:
 
     def _const_matrix_index(self, matrix) -> int:
         value = _Value("const", tuple(matrix.shape))
-
-        # Wrap so ``.data`` resolution hands back the matrix itself.
-        class _MatrixRef:
-            __slots__ = ("data",)
-
-            def __init__(self, data):
-                self.data = data
-
-        value.tensor = _MatrixRef(matrix)  # type: ignore[assignment]
+        value.tensor = _ConstRef(matrix)  # type: ignore[assignment]
         index = len(self.values)
         self.values.append(value)
         return index
@@ -832,12 +862,16 @@ class _Compiler:
         raise ReplayUnsupported(f"unsupported index type {type(index).__name__}")
 
     def _centers_index(self) -> int:
-        key = ("slot-centers",)
+        return self._slot("centers", (_SYM_CENTERS,))
+
+    def _slot(self, name: str, shape: SymShape) -> int:
+        """The value bound to batch slot ``name`` (one per schedule)."""
+        key = ("slot", name)
         cached = self.index_of.get(key)  # type: ignore[arg-type]
         if cached is not None:
             return cached
-        value = _Value("slot", (_SYM_CENTERS,))
-        value.slot = "centers"
+        value = _Value("slot", shape)
+        value.slot = name
         index = len(self.values)
         self.values.append(value)
         self.index_of[key] = index  # type: ignore[index]

@@ -14,10 +14,10 @@ gated by :func:`inference_mode`: the forward value is computed by exactly the
 same NumPy expressions (results are bit-identical to the autograd path), but
 no ``_backward`` closure, parent tuple, or backward-only auxiliary array is
 built.  While a capture tape is installed (see :mod:`repro.tensor.replay`)
-the light path additionally records each op's semantic identity so the
-traced forward can be compiled into a replayable kernel schedule.  Both the
-inference flag and the tape are thread-local: tracing in one session never
-observes another thread's ops.
+both paths additionally record each op's semantic identity, so a traced
+forward — or a traced training step — can be compiled into a replayable
+kernel schedule.  Both the inference flag and the tape are thread-local:
+tracing in one session never observes another thread's ops.
 """
 
 from __future__ import annotations
@@ -101,11 +101,43 @@ def _restore_tape(previous) -> None:
 
 def _emit(op: str, out_data: np.ndarray, inputs: tuple, meta: Optional[dict] = None) -> "Tensor":
     """Wrap a light-path result, recording the op on the active tape."""
-    out = Tensor(out_data)
+    return _record(op, Tensor(out_data), inputs, meta)
+
+
+def _record(op: str, out: "Tensor", inputs: tuple, meta: Optional[dict] = None) -> "Tensor":
+    """Record ``out`` on the active tape (if any) and return it.
+
+    The autograd path calls this too, so a traced training step sees the
+    same op identities an inference trace does.
+    """
     tape = _STATE.tape
     if tape is not None:
         tape.record(op, out, inputs, meta)
     return out
+
+
+def _topological_order(root: "Tensor") -> list:
+    """Post-order of the graph above ``root`` (parents before children).
+
+    ``Tensor.backward`` walks it in reverse; the training replay compiler
+    walks the same order so gradients accumulate in the same sequence.
+    """
+    order: list = []
+    visited: set = set()
+    stack = [(root, False)]
+    while stack:
+        current, processed = stack.pop()
+        if processed:
+            order.append(current)
+            continue
+        if id(current) in visited:
+            continue
+        visited.add(id(current))
+        stack.append((current, True))
+        for parent in current._parents:
+            if id(parent) not in visited:
+                stack.append((parent, False))
+    return order
 
 
 class Tensor:
@@ -196,26 +228,7 @@ class Tensor:
                 raise ValueError("backward() without a gradient requires a scalar")
             grad = np.ones_like(self.data)
         grad = _as_array(grad)
-
-        order: list[Tensor] = []
-        visited: set[int] = set()
-
-        def visit(node: "Tensor") -> None:
-            stack = [(node, False)]
-            while stack:
-                current, processed = stack.pop()
-                if processed:
-                    order.append(current)
-                    continue
-                if id(current) in visited:
-                    continue
-                visited.add(id(current))
-                stack.append((current, True))
-                for parent in current._parents:
-                    if id(parent) not in visited:
-                        stack.append((parent, False))
-
-        visit(self)
+        order = _topological_order(self)
 
         grads: dict[int, np.ndarray] = {id(self): grad}
         # Gradients entering a dict slot are arrays produced by backward
@@ -264,7 +277,7 @@ class Tensor:
             )
 
         out._backward = backward
-        return out
+        return _record("add", out, (self, other_t))
 
     __radd__ = __add__
 
@@ -274,7 +287,7 @@ class Tensor:
             return _emit("neg", out_data, (self,))
         out = Tensor(out_data, requires_grad=self.requires_grad, _parents=(self,))
         out._backward = lambda grad: ((self, -grad),)
-        return out
+        return _record("neg", out, (self,))
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         return self + (-_ensure_tensor(other))
@@ -300,7 +313,7 @@ class Tensor:
             )
 
         out._backward = backward
-        return out
+        return _record("mul", out, (self, other_t))
 
     __rmul__ = __mul__
 
@@ -323,7 +336,7 @@ class Tensor:
             return ((self, grad_self), (other_t, grad_other))
 
         out._backward = backward
-        return out
+        return _record("div", out, (self, other_t))
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return _ensure_tensor(other) / self
@@ -340,7 +353,7 @@ class Tensor:
             return ((self, grad * exponent * self.data ** (exponent - 1)),)
 
         out._backward = backward
-        return out
+        return _record("pow", out, (self,), {"exponent": exponent})
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return matmul(self, other)
@@ -357,14 +370,14 @@ class Tensor:
             return _emit("reshape", out_data, (self,), {"shape": tuple(shape)})
         out = Tensor(out_data, requires_grad=self.requires_grad, _parents=(self,))
         out._backward = lambda grad: ((self, grad.reshape(original)),)
-        return out
+        return _record("reshape", out, (self,), {"shape": tuple(shape)})
 
     def transpose(self) -> "Tensor":
         if _STATE.inference:
             return _emit("transpose", self.data.T, (self,))
         out = Tensor(self.data.T, requires_grad=self.requires_grad, _parents=(self,))
         out._backward = lambda grad: ((self, grad.T),)
-        return out
+        return _record("transpose", out, (self,))
 
     @property
     def T(self) -> "Tensor":  # noqa: N802 - mirror numpy naming
@@ -382,7 +395,7 @@ class Tensor:
             return ((self, full),)
 
         out._backward = backward
-        return out
+        return _record("getitem", out, (self,), {"index": index})
 
     # ------------------------------------------------------------------
     # Reductions
@@ -400,7 +413,7 @@ class Tensor:
             return ((self, np.broadcast_to(grad_arr, self.shape).copy()),)
 
         out._backward = backward
-        return out
+        return _record("sum", out, (self,), {"axis": axis, "keepdims": keepdims})
 
     def mean(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -414,7 +427,20 @@ class Tensor:
             # expression is the sum/scale decomposition below, verbatim.
             out_data = self.data.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
             return _emit("mean", out_data, (self,), {"axis": axis, "keepdims": keepdims})
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        tape = _STATE.tape
+        if tape is None:
+            return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        # Traced: the graph is the same sum -> mul pair, but the mul is
+        # recorded as ``mean_scale`` so a replay recomputes 1/count from the
+        # live shape instead of baking the traced batch's constant.
+        _STATE.tape = None
+        try:
+            total = self.sum(axis=axis, keepdims=keepdims)
+            out = total * (1.0 / count)
+        finally:
+            _STATE.tape = tape
+        _record("sum", total, (self,), {"axis": axis, "keepdims": keepdims})
+        return _record("mean_scale", out, (total,), {"axis": axis, "source": self})
 
     def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.max(axis=axis, keepdims=keepdims)
@@ -433,7 +459,7 @@ class Tensor:
             return ((self, mask * grad_arr),)
 
         out._backward = backward
-        return out
+        return _record("max", out, (self,), {"axis": axis, "keepdims": keepdims})
 
     # ------------------------------------------------------------------
     # Elementwise functions (method aliases)
@@ -444,7 +470,7 @@ class Tensor:
             return _emit("exp", out_data, (self,))
         out = Tensor(out_data, requires_grad=self.requires_grad, _parents=(self,))
         out._backward = lambda grad: ((self, grad * out_data),)
-        return out
+        return _record("exp", out, (self,))
 
     def log(self) -> "Tensor":
         out_data = np.log(self.data)
@@ -452,7 +478,7 @@ class Tensor:
             return _emit("log", out_data, (self,))
         out = Tensor(out_data, requires_grad=self.requires_grad, _parents=(self,))
         out._backward = lambda grad: ((self, grad / self.data),)
-        return out
+        return _record("log", out, (self,))
 
     def clip(self, low: float, high: float) -> "Tensor":
         out_data = np.clip(self.data, low, high)
@@ -465,7 +491,7 @@ class Tensor:
             return ((self, grad * mask),)
 
         out._backward = backward
-        return out
+        return _record("clip", out, (self,), {"low": low, "high": high})
 
 
 def _ensure_tensor(value: Union[Tensor, ArrayLike]) -> Tensor:
@@ -490,7 +516,7 @@ def zeros(*shape: int, requires_grad: bool = False) -> Tensor:
 # Core operations
 # ----------------------------------------------------------------------
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Dense matrix product with gradients for both operands."""
+    """Dense matrix product; gradients flow to the operands that need them."""
     a_t, b_t = _ensure_tensor(a), _ensure_tensor(b)
     out_data = a_t.data @ b_t.data
     if _STATE.inference:
@@ -502,12 +528,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     )
 
     def backward(grad: np.ndarray):
-        grad_a = grad @ b_t.data.T if a_t.data.ndim > 1 else grad @ b_t.data.T
-        grad_b = a_t.data.T @ grad
-        return ((a_t, _unbroadcast(grad_a, a_t.shape)), (b_t, _unbroadcast(grad_b, b_t.shape)))
+        # An operand without requires_grad (the collated feature matrix) has
+        # no gradient consumer, so its gemm would be pure waste.
+        pairs = []
+        if a_t.requires_grad:
+            pairs.append((a_t, _unbroadcast(grad @ b_t.data.T, a_t.shape)))
+        if b_t.requires_grad:
+            pairs.append((b_t, _unbroadcast(a_t.data.T @ grad, b_t.shape)))
+        return tuple(pairs)
 
     out._backward = backward
-    return out
+    return _record("matmul", out, (a_t, b_t))
 
 
 def spmm(sparse_matrix: sp.spmatrix, dense: Tensor) -> Tensor:
@@ -528,7 +559,7 @@ def spmm(sparse_matrix: sp.spmatrix, dense: Tensor) -> Tensor:
         _parents=(dense_t,),
     )
     out._backward = lambda grad: ((dense_t, matrix.T @ grad),)
-    return out
+    return _record("spmm", out, (dense_t,), {"matrix": matrix})
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -550,7 +581,7 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         return tuple((item, piece) for item, piece in zip(items, pieces))
 
     out._backward = backward
-    return out
+    return _record("concat", out, tuple(items), {"axis": axis})
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -572,7 +603,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         )
 
     out._backward = backward
-    return out
+    return _record("stack", out, tuple(items), {"axis": axis})
 
 
 def gather_rows(source: Tensor, index: np.ndarray) -> Tensor:
@@ -590,7 +621,7 @@ def gather_rows(source: Tensor, index: np.ndarray) -> Tensor:
         return ((src, full),)
 
     out._backward = backward
-    return out
+    return _record("gather", out, (src,), {"index": index})
 
 
 def scatter_add(source: Tensor, index: np.ndarray, num_segments: int) -> Tensor:
@@ -606,7 +637,7 @@ def scatter_add(source: Tensor, index: np.ndarray, num_segments: int) -> Tensor:
         )
     out = Tensor(data, requires_grad=src.requires_grad, _parents=(src,))
     out._backward = lambda grad: ((src, grad[index]),)
-    return out
+    return _record("scatter_add", out, (src,), {"index": index, "num_segments": num_segments})
 
 
 # ----------------------------------------------------------------------
@@ -620,7 +651,7 @@ def relu(x: Tensor) -> Tensor:
         return _emit("relu", out_data, (x_t,))
     out = Tensor(out_data, requires_grad=x_t.requires_grad, _parents=(x_t,))
     out._backward = lambda grad: ((x_t, grad * mask),)
-    return out
+    return _record("relu", out, (x_t,))
 
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
@@ -631,7 +662,7 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
         return _emit("leaky_relu", out_data, (x_t,), {"negative_slope": negative_slope})
     out = Tensor(out_data, requires_grad=x_t.requires_grad, _parents=(x_t,))
     out._backward = lambda grad: ((x_t, grad * slope),)
-    return out
+    return _record("leaky_relu", out, (x_t,), {"negative_slope": negative_slope})
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -641,7 +672,7 @@ def tanh(x: Tensor) -> Tensor:
         return _emit("tanh", out_data, (x_t,))
     out = Tensor(out_data, requires_grad=x_t.requires_grad, _parents=(x_t,))
     out._backward = lambda grad: ((x_t, grad * (1.0 - out_data**2)),)
-    return out
+    return _record("tanh", out, (x_t,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -651,7 +682,7 @@ def sigmoid(x: Tensor) -> Tensor:
         return _emit("sigmoid", out_data, (x_t,))
     out = Tensor(out_data, requires_grad=x_t.requires_grad, _parents=(x_t,))
     out._backward = lambda grad: ((x_t, grad * out_data * (1.0 - out_data)),)
-    return out
+    return _record("sigmoid", out, (x_t,))
 
 
 def maximum(x: Tensor, value: float) -> Tensor:
@@ -663,7 +694,7 @@ def maximum(x: Tensor, value: float) -> Tensor:
     mask = (x_t.data >= value).astype(x_t.data.dtype)
     out = Tensor(out_data, requires_grad=x_t.requires_grad, _parents=(x_t,))
     out._backward = lambda grad: ((x_t, grad * mask),)
-    return out
+    return _record("maximum", out, (x_t,), {"value": value})
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -680,7 +711,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         return ((x_t, out_data * (grad - dot)),)
 
     out._backward = backward
-    return out
+    return _record("softmax", out, (x_t,), {"axis": axis})
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -698,7 +729,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
         return ((x_t, grad - probs * total),)
 
     out._backward = backward
-    return out
+    return _record("log_softmax", out, (x_t,), {"axis": axis})
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
@@ -707,6 +738,8 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool = T
         return _ensure_tensor(x)
     x_t = _ensure_tensor(x)
     keep = 1.0 - rate
+    # A traced training step rewinds each generator to its pre-draw state.
+    state = rng.bit_generator.state if _STATE.tape is not None else None
     mask = (rng.random(x_t.shape) < keep).astype(x_t.data.dtype) / keep
     out_data = x_t.data * mask
     if _STATE.inference:
@@ -715,4 +748,6 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool = T
         return _emit("dropout", out_data, (x_t,))
     out = Tensor(out_data, requires_grad=x_t.requires_grad, _parents=(x_t,))
     out._backward = lambda grad: ((x_t, grad * mask),)
-    return out
+    # The generator rides along so a traced training step redraws the mask
+    # from the same stream.
+    return _record("dropout", out, (x_t,), {"rate": rate, "rng": rng, "state": state})
