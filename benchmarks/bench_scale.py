@@ -3,11 +3,12 @@
 Synthesizes a large sparse multi-relation graph (no dataset download, fixed
 seed) and measures the three scale mechanisms this engine relies on:
 
-* **PPR residual memory** — peak residual+estimate block floats of the dense
-  reference path vs the sparse-frontier path across a node-count ladder at a
-  fixed source count.  The sparse path's peak follows the push's touched set,
-  so it should stay roughly flat while the dense path grows linearly in
-  ``num_nodes``.
+* **PPR residual memory** — the PPR engine's peak residual+estimate block
+  against one full-width ``2 * sources * num_nodes`` block across a
+  node-count ladder at a fixed source count, each sweep checked bitwise
+  against a full-width run.  Beyond the block budget the engine stores
+  chunks compactly, so its peak follows the push's touched set and stays
+  roughly flat while the full-width block grows linearly in ``num_nodes``.
 * **Build throughput** — ``build_store`` subgraphs/second single-process vs
   the shared-memory worker pool, plus the bytes that actually travel to a
   worker per shard (segment names vs a full builder pickle).
@@ -34,6 +35,7 @@ import numpy as np
 from repro.datasets.adapters import SyntheticBotnetAdapter
 from repro.graph import HeteroGraph
 from repro.ppr import multi_source_ppr
+from repro.ppr.batch import _BLOCK_BUDGET
 from repro.sampling import BiasedSubgraphBuilder
 from repro.sampling.biased import shutdown_shared_pool
 
@@ -66,40 +68,50 @@ def synth_graph(num_nodes: int, avg_degree: int, num_relations: int, seed: int) 
 
 
 def measure_residual_memory(num_nodes: int, avg_degree: int) -> dict:
-    """Dense vs sparse-frontier PPR sweep over a node-count ladder."""
+    """PPR engine peak block vs one full-width block over a node-count ladder.
+
+    Each sweep is checked bitwise against a full-width run, forced with
+    chunks small enough for their full-width block to fit the budget.
+    """
     ladder = []
     for n in (num_nodes // 4, num_nodes // 2, num_nodes):
         graph = synth_graph(n, avg_degree, num_relations=1, seed=11)
         adjacency = graph.relation(graph.relation_names[0]).adjacency()
         adjacency = (adjacency + adjacency.T).tocsr()
         sources = np.arange(NUM_SOURCES)
-        entry = {"num_nodes": n}
-        results = {}
-        for mode in ("dense", "sparse"):
-            stats: dict = {}
-            start = time.process_time()
-            results[mode] = multi_source_ppr(
-                adjacency, sources, epsilon=PPR_EPSILON, frontier=mode, stats=stats
-            )
-            entry[f"{mode}_sweep_s"] = time.process_time() - start
-            entry[f"{mode}_peak_block_floats"] = int(stats["peak_block_floats"])
-        assert (results["dense"] != results["sparse"]).nnz == 0, "frontier paths diverged"
-        entry["touched_nnz"] = int(results["sparse"].nnz)
-        entry["peak_ratio"] = (
-            entry["dense_peak_block_floats"] / entry["sparse_peak_block_floats"]
+        stats: dict = {}
+        start = time.process_time()
+        scores = multi_source_ppr(adjacency, sources, epsilon=PPR_EPSILON, stats=stats)
+        sweep_s = time.process_time() - start
+        full_width = multi_source_ppr(
+            adjacency,
+            sources,
+            epsilon=PPR_EPSILON,
+            chunk_rows=max(1, _BLOCK_BUDGET // (2 * n)),
         )
-        ladder.append(entry)
+        assert (scores != full_width).nnz == 0, "PPR sweep diverged from the full-width run"
+        assert scores.data.tobytes() == full_width.data.tobytes(), "PPR sweep bits diverged"
+        full_width_floats = 2 * NUM_SOURCES * n
+        ladder.append(
+            {
+                "num_nodes": n,
+                "sweep_s": sweep_s,
+                "chunk_rows": stats["chunk_rows"],
+                "peak_block_floats": int(stats["peak_block_floats"]),
+                "full_width_block_floats": full_width_floats,
+                "peak_ratio": full_width_floats / stats["peak_block_floats"],
+                "touched_nnz": int(scores.nnz),
+            }
+        )
     first, last = ladder[0], ladder[-1]
     return {
         "num_sources": NUM_SOURCES,
         "epsilon": PPR_EPSILON,
+        "block_budget_floats": _BLOCK_BUDGET,
         "ladder": ladder,
-        # Peak-memory growth across a 4x node-count increase: ~4 for the
-        # dense block, ~1 for the sparse frontier (touched set is fixed).
-        "dense_peak_growth": last["dense_peak_block_floats"] / first["dense_peak_block_floats"],
-        "sparse_peak_growth": (
-            last["sparse_peak_block_floats"] / first["sparse_peak_block_floats"]
-        ),
+        # Peak-memory growth across a 4x node-count increase: a full-width
+        # block grows 4x; the engine's compact chunks follow the touched set.
+        "peak_growth": last["peak_block_floats"] / first["peak_block_floats"],
     }
 
 
@@ -218,15 +230,11 @@ def main() -> None:
     print(f"wrote {args.output}")
     for entry in memory["ladder"]:
         print(
-            f"ppr n={entry['num_nodes']:>8,}: dense peak "
-            f"{entry['dense_peak_block_floats']:>12,} floats, sparse peak "
-            f"{entry['sparse_peak_block_floats']:>12,} floats "
+            f"ppr n={entry['num_nodes']:>8,}: peak {entry['peak_block_floats']:>12,} floats "
+            f"vs full width {entry['full_width_block_floats']:>12,} "
             f"({entry['peak_ratio']:.1f}x smaller)"
         )
-    print(
-        f"peak growth over 4x nodes: dense {memory['dense_peak_growth']:.2f}x, "
-        f"sparse frontier {memory['sparse_peak_growth']:.2f}x"
-    )
+    print(f"peak growth over 4x nodes: {memory['peak_growth']:.2f}x")
     build = result["build"]
     print(
         f"build {build['centers']} centers: serial {build['serial_s']:.2f}s "

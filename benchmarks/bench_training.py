@@ -1,9 +1,9 @@
-"""Training-epoch engine benchmark: collation, epoch and PPR sweep timings.
+"""Training-epoch engine benchmark: collation and epoch timings.
 
 Runs the same workload three ways — the reference per-subgraph collation
 loop (``collate_subgraphs``), the flat vectorized path (``collate_many``)
-and the cross-epoch batch cache (``SubgraphStore.collate``) — plus a
-dense-vs-column-sparse PPR sweep, and writes the timings to
+and the cross-epoch batch cache (``SubgraphStore.collate``) — and writes
+the timings to
 ``benchmarks/results/BENCH_training.json`` so later PRs have a perf
 trajectory to compare against.
 
@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.core.model import BSG4BotModel
 from repro.datasets import load_benchmark
-from repro.ppr import multi_source_ppr
 from repro.sampling import BiasedSubgraphBuilder, collate_many, collate_subgraphs
 from repro.tensor import Adam, cross_entropy
 
@@ -104,40 +103,6 @@ def run(output_path: Path = RESULTS_PATH) -> dict:
     )
     epoch_engine_s = timed_epochs(lambda c: store.collate(c))
 
-    # PPR sweep over the merged graph: dense rounds only vs column-sparse.
-    adjacency = graph.merged_adjacency()
-    adjacency = (adjacency + adjacency.T).tocsr()
-    sources = np.arange(graph.num_nodes)
-    ppr_dense_s, dense_scores = _best_of(
-        3, lambda: multi_source_ppr(adjacency, sources, sparse_density=0.0)
-    )
-    ppr_sparse_s, sparse_scores = _best_of(
-        3, lambda: multi_source_ppr(adjacency, sources)
-    )
-    assert (dense_scores != sparse_scores).nnz == 0, "column-sparse PPR diverged"
-
-    # The column-sparse rounds target large graphs, where push frontiers stay
-    # local relative to the node count; measure that regime on a synthetic
-    # sparse graph so the trajectory captures it too.
-    big_n, big_sources = 20_000, 200
-    big_rng = np.random.default_rng(7)
-    big_src = big_rng.integers(0, big_n, big_n * 6)
-    big_dst = big_rng.integers(0, big_n, big_n * 6)
-    keep = big_src != big_dst
-    import scipy.sparse as sp
-
-    big = sp.coo_matrix(
-        (np.ones(int(keep.sum())), (big_src[keep], big_dst[keep])), shape=(big_n, big_n)
-    ).tocsr()
-    big.data[:] = 1.0
-    big_dense_s, big_dense = _best_of(
-        2, lambda: multi_source_ppr(big, np.arange(big_sources), sparse_density=0.0)
-    )
-    big_sparse_s, big_sparse = _best_of(
-        2, lambda: multi_source_ppr(big, np.arange(big_sources))
-    )
-    assert (big_dense != big_sparse).nnz == 0, "column-sparse PPR diverged (large)"
-
     result = {
         "scale": {
             "benchmark": "mgtab",
@@ -160,18 +125,6 @@ def run(output_path: Path = RESULTS_PATH) -> dict:
             "engine_epoch_s": epoch_engine_s,
             "speedup": epoch_reference_s / epoch_engine_s,
         },
-        "ppr": {
-            "dense_sweep_s": ppr_dense_s,
-            "column_sparse_sweep_s": ppr_sparse_s,
-            "speedup": ppr_dense_s / ppr_sparse_s,
-        },
-        "ppr_large_graph": {
-            "num_nodes": big_n,
-            "num_sources": big_sources,
-            "dense_sweep_s": big_dense_s,
-            "column_sparse_sweep_s": big_sparse_s,
-            "speedup": big_dense_s / big_sparse_s,
-        },
         "cache": {
             "hits": int(store.cache_hits),
             "misses": int(store.cache_misses),
@@ -187,7 +140,6 @@ def main() -> None:
     result = run()
     collation = result["collation"]
     epoch = result["epoch"]
-    ppr = result["ppr"]
     print(f"wrote {RESULTS_PATH}")
     print(
         f"collation: reference {collation['reference_epoch_s'] * 1e3:.2f} ms/epoch, "
@@ -199,15 +151,6 @@ def main() -> None:
     print(
         f"epoch: reference {epoch['reference_epoch_s']:.3f} s, "
         f"engine {epoch['engine_epoch_s']:.3f} s ({epoch['speedup']:.2f}x)"
-    )
-    print(
-        f"ppr sweep: dense {ppr['dense_sweep_s']:.3f} s, "
-        f"column-sparse {ppr['column_sparse_sweep_s']:.3f} s ({ppr['speedup']:.2f}x)"
-    )
-    large = result["ppr_large_graph"]
-    print(
-        f"ppr sweep ({large['num_nodes']} nodes): dense {large['dense_sweep_s']:.3f} s, "
-        f"column-sparse {large['column_sparse_sweep_s']:.3f} s ({large['speedup']:.2f}x)"
     )
 
 

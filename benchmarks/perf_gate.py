@@ -1,8 +1,8 @@
 """CI perf-regression gate: fixed-seed micro-benchmarks vs stored baselines.
 
 Runs small, deterministic micro-benchmarks over the engine's hot paths —
-flat collation, the cold collation-pack build, the PPR sweep (dense /
-column-sparse / sparse-frontier), a batched subgraph build, the
+flat collation, the cold collation-pack build, the PPR sweep (the fit's
+call shape and a 20k-node graph), a batched subgraph build, the
 capture-and-replay model forward, the compiled training step, dataset
 adapter ingestion (chunked throughput + cache warm start), and the sharded
 cluster router's throughput scaling — then gates two ways:
@@ -45,6 +45,7 @@ import scipy.sparse as sp
 from repro.core.model import BSG4BotModel
 from repro.datasets import load_benchmark
 from repro.ppr import multi_source_ppr
+from repro.ppr.batch import _BLOCK_BUDGET
 from repro.sampling import BiasedSubgraphBuilder, Subgraph, collate_many, collate_subgraphs
 from repro.sampling.subgraph import _CollationPack
 from repro.tensor import Adam, softmax
@@ -65,6 +66,9 @@ BATCH_SIZE = 64
 SUBGRAPH_K = 8
 PPR_NODES = 20_000
 PPR_SOURCES = 128
+PPR_SMALL_NODES = 800
+PPR_SMALL_SOURCES = 640
+PPR_REFERENCE_ROWS = 16
 
 
 def _best_of(repeats: int, func):
@@ -128,40 +132,49 @@ def bench_pack_build(graph, store) -> dict:
     }
 
 
-def bench_ppr() -> dict:
+def _ppr_graph(num_nodes: int, edges_per_node: int, symmetric: bool) -> sp.csr_matrix:
     rng = np.random.default_rng(7)
-    src = rng.integers(0, PPR_NODES, PPR_NODES * 5)
-    dst = rng.integers(0, PPR_NODES, PPR_NODES * 5)
+    src = rng.integers(0, num_nodes, num_nodes * edges_per_node)
+    dst = rng.integers(0, num_nodes, num_nodes * edges_per_node)
     keep = src != dst
     adjacency = sp.coo_matrix(
-        (np.ones(int(keep.sum())), (src[keep], dst[keep])),
-        shape=(PPR_NODES, PPR_NODES),
+        (np.ones(int(keep.sum())), (src[keep], dst[keep])), shape=(num_nodes, num_nodes)
     ).tocsr()
+    if symmetric:
+        adjacency = (adjacency + adjacency.T).tocsr()
     adjacency.data[:] = 1.0
-    sources = np.arange(PPR_SOURCES)
-    dense_s, dense = _best_of(
-        2, lambda: multi_source_ppr(adjacency, sources, frontier="dense", sparse_density=0.0)
+    return adjacency
+
+
+def _ppr_sweep(adjacency: sp.csr_matrix, sources: np.ndarray) -> tuple:
+    """Best-of-2 default sweep, checked bitwise against a full-width run.
+
+    ``PPR_REFERENCE_ROWS``-source chunks fit the block budget on every gate
+    graph, so the reference keeps every chunk full width and chunks the
+    sources differently from the engine's own policy.
+    """
+    assert 2 * PPR_REFERENCE_ROWS * adjacency.shape[0] <= _BLOCK_BUDGET
+    stats: dict = {}
+    sweep_s, scores = _best_of(
+        2, lambda: multi_source_ppr(adjacency, sources, stats=stats)
     )
-    column_s, column = _best_of(
-        2, lambda: multi_source_ppr(adjacency, sources, frontier="dense")
-    )
-    frontier_stats: dict = {}
-    frontier_s, frontier = _best_of(
-        2,
-        lambda: multi_source_ppr(
-            adjacency, sources, frontier="sparse", stats=frontier_stats
-        ),
-    )
+    reference = multi_source_ppr(adjacency, sources, chunk_rows=PPR_REFERENCE_ROWS)
     # Correctness is part of the gate: a sweep that got faster by diverging
-    # from the reference path must fail CI.
-    assert (dense != column).nnz == 0, "column-sparse PPR diverged from dense"
-    assert (dense != frontier).nnz == 0, "sparse-frontier PPR diverged from dense"
+    # from the full-width reference must fail CI.
+    assert (scores != reference).nnz == 0, "PPR sweep diverged from the full-width run"
+    assert scores.data.tobytes() == reference.data.tobytes(), "PPR sweep bits diverged"
+    return sweep_s, stats
+
+
+def bench_ppr() -> dict:
+    """The PPR engine on the fit's call shape (800 nodes, degree ~8, 640
+    sources) and on a 20k-node, 128-source graph."""
+    small_s, _ = _ppr_sweep(_ppr_graph(PPR_SMALL_NODES, 4, True), np.arange(PPR_SMALL_SOURCES))
+    sweep_s, stats = _ppr_sweep(_ppr_graph(PPR_NODES, 5, False), np.arange(PPR_SOURCES))
     return {
-        "ppr_dense_sweep_s": dense_s,
-        "ppr_column_sparse_sweep_s": column_s,
-        "ppr_frontier_sweep_s": frontier_s,
-        "ppr_frontier_speedup": dense_s / frontier_s,
-        "ppr_frontier_peak_fraction": frontier_stats["peak_block_floats"]
+        "ppr_small_sweep_s": small_s,
+        "ppr_frontier_sweep_s": sweep_s,
+        "ppr_frontier_peak_fraction": stats["peak_block_floats"]
         / (2 * PPR_SOURCES * PPR_NODES),
     }
 
@@ -394,6 +407,8 @@ def run(output_path: Path = RESULTS_PATH) -> dict:
             "batch_size": BATCH_SIZE,
             "ppr_nodes": PPR_NODES,
             "ppr_sources": PPR_SOURCES,
+            "ppr_small_nodes": PPR_SMALL_NODES,
+            "ppr_small_sources": PPR_SMALL_SOURCES,
         },
         "metrics": metrics,
     }

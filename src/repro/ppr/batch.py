@@ -3,88 +3,71 @@
 The per-node push (:func:`repro.ppr.push.approximate_ppr`) processes one
 residual at a time from a work queue, which is fast for a single source but
 leaves the whole computation in Python when thousands of subgraph centers
-need scores.  This module pushes a *frontier of sources at once*: residuals
-live in a dense ``(num_sources, num_nodes)`` block, every above-threshold
-entry is pushed in the same round, and the spread to neighbours is one
-sparse-matrix product.  The per-source semantics are identical to the queue
-variant — each push keeps ``alpha`` of the residual as estimate, spreads
-``1 - alpha`` uniformly over out-neighbours, dangling nodes return their
-mass to the originating source, and pushing stops once every residual is
-below ``epsilon * max(degree, 1)`` — so the converged estimates agree with
-the single-source method up to the shared ``epsilon`` residual bound.
+need scores.  This module pushes a *frontier of sources at once*: every
+above-threshold residual of every source is pushed in the same round, and
+the spread to neighbours is one sparse-matrix product.  The per-source
+semantics are identical to the queue variant — each push keeps ``alpha`` of
+the residual as estimate, spreads ``1 - alpha`` uniformly over
+out-neighbours, dangling nodes return their mass to the originating source,
+and pushing stops once every residual is below ``epsilon * max(degree, 1)``
+— so the converged estimates agree with the single-source method up to the
+shared ``epsilon`` residual bound.
 
-Sources are processed in chunks to bound the dense block at roughly
-``chunk_rows * num_nodes`` floats, which keeps memory flat for large
-frontiers.
+Sources are pushed in chunks.  A chunk keeps its residuals and estimates in
+two ``(rows, touched)`` blocks over a sorted set of *touched* columns, and
+the storage follows from the input size alone:
 
-Late push rounds touch only a handful of columns (the residual frontier
-shrinks as mass converges), so paying a full ``rows x num_nodes`` pass per
-round is wasted work.  The push loop therefore tracks the exact set of
-*active* columns — columns holding at least one above-threshold residual —
-and, once that set is small enough (``sparse_density``), runs the round
-column-sparse: compare/push/update only the active columns and spread
-through a row-sliced, column-compacted transition.  The two round kinds are
-bit-identical (skipped entries only ever contribute exact ``+0.0`` terms and
-the surviving floating-point operations keep their accumulation order), so
-results never depend on which rounds ran sparse.
+* **Full width** — when ``2 * rows * num_nodes`` floats fit
+  ``_BLOCK_BUDGET``, every node is touched from the start.
+* **Compact** — otherwise the chunk starts with just its sources and adds
+  each column the first time mass reaches it, widening to full width once
+  the touched set covers half the graph.  Memory follows the push's actual
+  reach instead of ``rows * num_nodes``.
 
-The column-sparse rounds save *compute* but the residual block stays dense
-in *memory*: every chunk still allocates ``chunk_rows * num_nodes`` floats,
-which caps the graph size the engine can sweep.  The ``frontier="sparse"``
-path (:func:`_push_chunk_frontier`) lifts that ceiling: residuals and
-estimates live in a block over only the *touched* columns — the sorted union
-of every column that has ever held mass for the chunk — which grows as the
-push spreads and never materialises a ``rows x num_nodes`` array.  Every
-round runs the exact column-compacted arithmetic of the column-sparse round
-above, so the sparse-frontier results are bit-identical to the dense
-reference path (equivalence-tested across alpha/epsilon grids); memory
-scales with ``rows x touched`` instead of ``rows x num_nodes``.
+Each round pushes only the *active* columns (those holding at least one
+above-threshold residual, tracked incrementally).  A full-width chunk with
+many active columns, or a small block, runs a *dense* round: one pass over
+the whole block and one product with the full transition.  Every other
+round is *column-compacted*: it compares, pushes and updates only the active
+columns and spreads through their transition rows, compacted to the
+destinations they reach.
+
+Storage, round kind and chunking never change results.  Skipped entries
+only ever contribute exact ``+0.0`` terms, new columns are exact zeros until
+mass first reaches them, the surviving floating-point operations keep their
+accumulation order, and the mass returned by dangling nodes is summed
+sequentially (a plain ``sum(axis=1)`` rounds differently depending on the
+operand's row count and memory order).
+
+Chunks start at ``max(16, _BLOCK_BUDGET // (2 * num_nodes))`` rows.  They
+double while the block predicted from the last chunk's touched set stays
+within the budget and halve when it overshot, so on locally-clustered graphs
+(small touched sets) chunks grow and amortize per-chunk setup, and on
+well-mixed graphs they stay small.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-#: Target size (in float64 entries) of one dense residual block.
-_DEFAULT_BLOCK_BUDGET = 8_000_000
+#: Target size (in float64 entries) of one chunk's residual+estimate block.
+_BLOCK_BUDGET = 1 << 20
 
-#: Run a push round column-sparse once the active columns drop below this
-#: fraction of the graph; above it the dense full-block round is cheaper.
-_DEFAULT_SPARSE_DENSITY = 0.25
+#: Adaptive chunk policy bounds: chunks start at no fewer than
+#: ``_START_CHUNK_ROWS`` sources and never shrink below ``_MIN_CHUNK_ROWS``.
+_START_CHUNK_ROWS = 16
+_MIN_CHUNK_ROWS = 4
 
-#: Below this dense-block size (live rows x num_nodes) a full-block round is
-#: already cheaper than the slicing overhead of a column-sparse one.
-_SPARSE_MIN_BLOCK = 65_536
+#: A full-width round runs dense once more than this fraction of the columns
+#: is active; below it the column-compacted round skips enough work to win.
+_DENSE_COLUMN_FRACTION = 0.25
 
-#: ``frontier=None`` (auto) switches to the sparse-frontier path at this many
-#: nodes: below it the dense block fits the budget comfortably and its simpler
-#: rounds are faster; above it the ``chunk_rows * num_nodes`` block (and the
-#: tiny chunks the budget forces) dominate.
-_FRONTIER_AUTO_NODES = 100_000
-
-#: Starting sources-per-chunk for the sparse-frontier path.  The block is
-#: ``rows x touched-union`` and the union grows with every source in the
-#: chunk (on well-mixed graphs it approaches the whole node set), so small
-#: chunks keep both the block and the per-round column compaction tight —
-#: empirically ~16 rows is the sweet spot from 50k nodes up.
-_FRONTIER_CHUNK_ROWS = 16
-
-#: Adaptive chunk-size bounds and budget (``chunk_rows=None`` with the
-#: sparse frontier).  The policy grows the chunk while the *predicted*
-#: residual+estimate block — ``2 * rows * last-chunk-touched-union`` floats —
-#: stays under the budget, and shrinks when even the current size overshot.
-#: On locally-clustered graphs (unions barely overlap, stay tiny) chunks
-#: climb to ``_FRONTIER_CHUNK_MAX`` and amortize per-chunk setup; on
-#: well-mixed graphs (unions approach ``num_nodes``) they fall back toward
-#: ``_FRONTIER_CHUNK_MIN``.  Chunking never changes results — per-source
-#: pushes are independent — so the policy is purely a space/speed decision
-#: (equivalence-tested against the fixed 16-row policy).
-_FRONTIER_CHUNK_MIN = 4
-_FRONTIER_CHUNK_MAX = 256
-_FRONTIER_BLOCK_BUDGET = 2_000_000
+#: Below this block size (live rows x num_nodes) a dense round is already
+#: cheaper than the slicing overhead of a column-compacted one.
+_SMALL_BLOCK = 65_536
 
 
 class PushOperator:
@@ -116,8 +99,6 @@ def multi_source_ppr(  # oracle: approximate_ppr
     max_rounds: int = 1000,
     chunk_rows: Optional[int] = None,
     prepared: Optional[PushOperator] = None,
-    sparse_density: float = _DEFAULT_SPARSE_DENSITY,
-    frontier: Optional[str] = None,
     stats: Optional[dict] = None,
 ) -> sp.csr_matrix:
     """Approximate PPR scores for many sources at once.
@@ -126,113 +107,54 @@ def multi_source_ppr(  # oracle: approximate_ppr
     ``i`` holds the push estimates for ``sources[i]`` (zero outside the
     touched neighbourhood, exactly like the sparse dict of the single-source
     method).  Pass a :class:`PushOperator` built from the same adjacency as
-    ``prepared`` to skip the per-call transition setup.  ``sparse_density``
-    sets the active-column fraction below which a push round runs
-    column-sparse (0 forces every round dense, 1 forces every round sparse;
-    the results are bit-identical either way).
+    ``prepared`` to skip the per-call transition setup.
 
-    ``frontier`` selects the residual storage: ``"dense"`` is the reference
-    path (one ``chunk_rows x num_nodes`` block per chunk), ``"sparse"``
-    keeps residuals only for the touched-column union so memory scales with
-    the push's actual reach, and ``None`` (auto) picks sparse for graphs
-    beyond ``_FRONTIER_AUTO_NODES`` nodes.  The two storages are
-    bit-identical in results, so the choice is purely a space/speed decision.
+    ``chunk_rows`` fixes the number of sources pushed together; ``None``
+    selects the adaptive chunk policy described in the module docstring.
+    Sources push independently, so any chunking gives bit-identical results.
     Pass a dict as ``stats`` to receive ``peak_block_floats`` (the largest
     residual+estimate block allocated, in float64 entries), ``rounds`` and
-    the resolved ``frontier`` mode.
-
-    With the sparse frontier, ``chunk_rows=None`` selects the *adaptive*
-    chunk policy: chunks start at 16 sources and grow (doubling, up to 256)
-    while the predicted block for the next chunk — sized from the previous
-    chunk's touched-column union — stays under ``_FRONTIER_BLOCK_BUDGET``
-    floats, shrinking again when a union blows past it.  Sources push
-    independently, so any chunking produces bit-identical results; the
-    adaptive policy only wins setup/compaction overhead on graphs whose
-    touched unions stay small.  ``stats`` additionally records the
-    ``chunk_rows`` sequence actually used.
+    the ``chunk_rows`` sequence actually used.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if not 0.0 <= sparse_density <= 1.0:
-        raise ValueError("sparse_density must be in [0, 1]")
-    if frontier not in (None, "dense", "sparse"):
-        raise ValueError("frontier must be None, 'dense' or 'sparse'")
     if chunk_rows is not None and chunk_rows <= 0:
         raise ValueError("chunk_rows must be positive (or None for automatic)")
     operator = prepared if prepared is not None else PushOperator(adjacency)
     num_nodes = operator.num_nodes
-    if frontier is None:
-        frontier = "sparse" if num_nodes >= _FRONTIER_AUTO_NODES else "dense"
     sources = np.asarray(list(sources), dtype=np.int64)
     if sources.size and (sources.min() < 0 or sources.max() >= num_nodes):
         raise ValueError("source node out of range")
     if stats is not None:
         # Full reset so a reused stats dict never mixes two calls' numbers.
-        stats.update(
-            {
-                "frontier": frontier,
-                "num_nodes": num_nodes,
-                "rounds": 0,
-                "peak_block_floats": 0,
-                "chunk_rows": [],
-            }
-        )
+        stats.update({"rounds": 0, "peak_block_floats": 0, "chunk_rows": []})
     if sources.size == 0:
         return sp.csr_matrix((0, num_nodes))
 
-    dangling = operator.dangling
     thresholds = epsilon * np.maximum(operator.degrees, 1).astype(np.float64)
-    transition = operator.transition
-
+    adaptive = chunk_rows is None
+    rows = (
+        max(_START_CHUNK_ROWS, _BLOCK_BUDGET // (2 * num_nodes)) if adaptive else chunk_rows
+    )
     blocks = []
-    if frontier == "sparse":
-        adaptive = chunk_rows is None
-        rows = _FRONTIER_CHUNK_ROWS if adaptive else chunk_rows
-        start = 0
-        while start < sources.size:
-            chunk = sources[start : start + rows]
-            block, touched_columns = _push_chunk_frontier(
-                transition, dangling, thresholds, chunk, alpha, max_rounds, stats
-            )
-            blocks.append(block)
-            start += chunk.size
-            if stats is not None:
-                stats["chunk_rows"].append(int(chunk.size))
-            if adaptive:
-                touched_columns = max(touched_columns, 1)
-                if 2 * (2 * rows) * touched_columns <= _FRONTIER_BLOCK_BUDGET:
-                    rows = min(rows * 2, _FRONTIER_CHUNK_MAX)
-                elif 2 * rows * touched_columns > _FRONTIER_BLOCK_BUDGET:
-                    rows = max(rows // 2, _FRONTIER_CHUNK_MIN)
-    else:
-        if chunk_rows is None:
-            chunk_rows = max(1, _DEFAULT_BLOCK_BUDGET // max(num_nodes, 1))
-        for start in range(0, sources.size, chunk_rows):
-            chunk = sources[start : start + chunk_rows]
-            blocks.append(
-                _push_chunk(
-                    transition,
-                    dangling,
-                    thresholds,
-                    chunk,
-                    alpha,
-                    max_rounds,
-                    sparse_density,
-                    stats,
-                )
-            )
+    start = 0
+    while start < sources.size:
+        chunk = sources[start : start + rows]
+        block, touched_columns = _push_chunk(
+            operator.transition, operator.dangling, thresholds, chunk, alpha, max_rounds, stats
+        )
+        blocks.append(block)
+        start += chunk.size
+        if stats is not None:
+            stats["chunk_rows"].append(int(chunk.size))
+        if adaptive:
+            if 2 * (2 * rows) * touched_columns <= _BLOCK_BUDGET:
+                rows *= 2
+            elif 2 * rows * touched_columns > _BLOCK_BUDGET:
+                rows = max(rows // 2, _MIN_CHUNK_ROWS)
     return sp.vstack(blocks, format="csr") if len(blocks) > 1 else blocks[0]
-
-
-def _retire_converged(live, final, alive, estimates, arrays):
-    """Write finished rows' estimates into ``final`` and compact the working
-    block (shared by the dense and column-sparse rounds, which must stay
-    bit-identical)."""
-    done = ~live
-    final[alive[done]] = estimates[done]
-    return [array[live] for array in arrays]
 
 
 def _bump_stats(stats: Optional[dict], block_floats: int) -> None:
@@ -250,269 +172,175 @@ def _push_chunk(
     sources: np.ndarray,
     alpha: float,
     max_rounds: int,
-    sparse_density: float,
     stats: Optional[dict] = None,
-) -> sp.csr_matrix:
+) -> Tuple[sp.csr_matrix, int]:
+    """Push one chunk of sources to convergence.
+
+    Returns the chunk's score block plus its final touched-set size, which
+    the adaptive chunk policy in :func:`multi_source_ppr` sizes the next
+    chunk with.
+    """
     num_nodes = transition.shape[0]
-    final = np.zeros((sources.size, num_nodes), dtype=np.float64)
+    full_width = 2 * sources.size * num_nodes <= _BLOCK_BUDGET
+    touched = np.arange(num_nodes) if full_width else np.unique(sources)
+    local_thresholds = thresholds[touched]
+    # Dense rounds spread through the transposed transition; ``.T`` builds a
+    # new CSC wrapper on every access, so build it once per chunk.
+    spread_operator = transition.T
 
     # Rows are independent: once a source has no above-threshold residual it
     # is converged for good, so the working block shrinks as rows finish
     # (sources converge at very different speeds on real graphs).
     alive = np.arange(sources.size)
     live_sources = sources.copy()
-    residuals = np.zeros((sources.size, num_nodes), dtype=np.float64)
-    residuals[alive, live_sources] = 1.0
+    source_columns = np.searchsorted(touched, sources)
+    residuals = np.zeros((sources.size, touched.size), dtype=np.float64)
+    residuals[alive, source_columns] = 1.0
     estimates = np.zeros_like(residuals)
-
     has_dangling = bool(dangling.any())
-    dangling_columns = np.flatnonzero(dangling)
-    column_limit = int(sparse_density * num_nodes)
-    # Exact mask of columns holding at least one above-threshold residual.
-    # Sparse rounds maintain it incrementally; after a dense round it is
-    # recomputed from scratch (None).
-    column_active: Optional[np.ndarray] = np.zeros(num_nodes, dtype=bool)
-    column_active[sources] = 1.0 >= thresholds[sources]
+
+    # Exact mask of the (local) columns holding at least one above-threshold
+    # residual.  Column-compacted rounds update it for the columns they
+    # change; after a dense round it is recomputed from scratch (None).
+    column_active: Optional[np.ndarray] = np.zeros(touched.size, dtype=bool)
+    column_active[source_columns] = 1.0 >= thresholds[sources]
+    full_active: Optional[np.ndarray] = None
+
+    # Converged rows' estimates: a dense block for a full-width chunk, and
+    # (row, column, value) triplets for a compact one, whose memory must
+    # follow the push's reach rather than its touched set.
+    final = np.zeros_like(residuals) if full_width else None
+    done_rows, done_columns, done_values = [], [], []
+
+    def retire(done: np.ndarray) -> None:
+        if final is not None:
+            final[alive[done]] = estimates[done]
+            return
+        finished = estimates[done]
+        nonzero = finished != 0.0
+        row, column = np.nonzero(nonzero)
+        done_rows.append(alive[done][row])
+        done_columns.append(touched[column])
+        done_values.append(finished[nonzero])
 
     for _ in range(max_rounds):
-        if column_active is not None:
-            columns = np.flatnonzero(column_active)
-            full_active = None
-        else:
-            full_active = residuals >= thresholds[None, :]
-            columns = np.flatnonzero(full_active.any(axis=0))
+        if column_active is None:
+            full_active = residuals >= local_thresholds[None, :]
+            column_active = full_active.any(axis=0)
+        columns = np.flatnonzero(column_active)
         if columns.size == 0:
             break
-        _bump_stats(stats, 2 * alive.size * num_nodes)
-
-        # A sparse round only pays off when it skips a *large* dense block;
-        # either way the arithmetic is bit-identical, so the gate is purely
-        # a speed decision.  ``sparse_density=1.0`` bypasses the size floor
-        # (used by the equivalence tests to force every round sparse).
-        small_block = sparse_density < 1.0 and alive.size * num_nodes < _SPARSE_MIN_BLOCK
-        if columns.size > column_limit or small_block:
-            # ---- dense round: one full pass over the residual block ----
-            active = (
-                full_active if full_active is not None else residuals >= thresholds[None, :]
-            )
-            live = active.any(axis=1)
-            if not live.all():
-                alive, live_sources, residuals, estimates, active = _retire_converged(
-                    live, final, alive, estimates,
-                    [alive, live_sources, residuals, estimates, active],
-                )
-                if alive.size == 0:
-                    break
-            pushed = np.where(active, residuals, 0.0)
-            estimates += alpha * pushed
-            residuals -= pushed
-            # Spread (1 - alpha) of the pushed mass uniformly over
-            # out-neighbours; the row-stochastic transition encodes the
-            # 1/degree split.
-            spread = (transition.T @ pushed.T).T
-            if has_dangling:
-                # Dangling nodes return their mass to the originating source.
-                # NB: ``pushed[:, dangling]`` is an F-ordered copy (mask
-                # indexing on axis 1), and numpy's axis-1 reduction rounds
-                # differently on F- vs C-ordered memory — the sparse rounds
-                # replicate this exact layout to stay bit-identical.
-                # Deliberately unpinned (recorded in analysis/baseline.json):
-                # pinning the layout would change the rounding and invalidate
-                # every content-addressed cache keyed on today's bits.
-                spread[np.arange(alive.size), live_sources] += pushed[:, dangling].sum(axis=1)
-            residuals += (1.0 - alpha) * spread
-            column_active = None
-        else:
-            # ---- column-sparse round: touch only the active columns ----
-            sub = residuals[:, columns]
-            act = sub >= thresholds[columns][None, :]
-            live = act.any(axis=1)
-            if not live.all():
-                alive, live_sources, residuals, estimates, sub, act = _retire_converged(
-                    live, final, alive, estimates,
-                    [alive, live_sources, residuals, estimates, sub, act],
-                )
-                if alive.size == 0:
-                    break
-            pushed = np.where(act, sub, 0.0)
-            estimates[:, columns] += alpha * pushed
-            residuals[:, columns] = sub - pushed
-            # Spread through the pushed columns' transition rows, compacted
-            # to the set of destination columns they can reach.
-            transition_rows = transition[columns]
-            touched = np.unique(transition_rows.indices)
-            if has_dangling:
-                touched = np.union1d(touched, live_sources)
-            if touched.size:
-                compact = sp.csr_matrix(
-                    (
-                        transition_rows.data,
-                        np.searchsorted(touched, transition_rows.indices),
-                        transition_rows.indptr,
-                    ),
-                    shape=(columns.size, touched.size),
-                )
-                spread = (compact.T @ pushed.T).T
-                if has_dangling:
-                    # Scatter the pushed values into a block with one slot
-                    # per dangling node before summing, so the reduction runs
-                    # over the same array shape — **and the same F memory
-                    # order** — as the dense round's ``pushed[:, dangling]``
-                    # slice; numpy's axis-1 sum rounds differently on C- vs
-                    # F-ordered memory, so the layout is part of the
-                    # bit-identity contract.
-                    in_dangling = dangling[columns]
-                    returned = np.zeros((alive.size, dangling_columns.size), order="F")
-                    if in_dangling.any():
-                        returned[
-                            :, np.searchsorted(dangling_columns, columns[in_dangling])
-                        ] = pushed[:, in_dangling]
-                    spread[
-                        np.arange(alive.size), np.searchsorted(touched, live_sources)
-                    ] += returned.sum(axis=1)
-                residuals[:, touched] += (1.0 - alpha) * spread
-                changed = np.union1d(columns, touched)
-            else:
-                changed = columns
-            if column_active is None:
-                # First sparse round after a dense one: every active column
-                # is in ``changed``, so a fresh mask is exact.
-                column_active = np.zeros(num_nodes, dtype=bool)
-            column_active[changed] = (
-                residuals[:, changed] >= thresholds[changed][None, :]
-            ).any(axis=0)
-    final[alive] = estimates
-    return sp.csr_matrix(final)
-
-
-def _push_chunk_frontier(
-    transition: sp.csr_matrix,
-    dangling: np.ndarray,
-    thresholds: np.ndarray,
-    sources: np.ndarray,
-    alpha: float,
-    max_rounds: int,
-    stats: Optional[dict] = None,
-) -> Tuple[sp.csr_matrix, int]:
-    """Push one chunk with residuals stored only for the touched columns.
-
-    Returns the chunk's score block plus the final touched-union size — the
-    signal the adaptive chunk policy in :func:`multi_source_ppr` sizes the
-    next chunk with.
-
-    ``touched`` is the sorted union of every global column that has ever held
-    residual or estimate mass for this chunk; ``residuals``/``estimates`` are
-    dense ``(live_rows, touched.size)`` blocks that grow as the push spreads.
-    Every round runs the same column-compacted arithmetic as the
-    column-sparse round of :func:`_push_chunk` — identical operand values in
-    identical accumulation order — so the converged estimates are
-    bit-identical to the dense reference path, while peak memory follows the
-    push's actual reach instead of ``chunk_rows * num_nodes``.
-    """
-    num_nodes = transition.shape[0]
-    empty_i = np.empty(0, dtype=np.int64)
-    empty_f = np.empty(0, dtype=np.float64)
-
-    alive = np.arange(sources.size)
-    live_sources = sources.copy()
-    touched = np.unique(sources)
-    residuals = np.zeros((sources.size, touched.size), dtype=np.float64)
-    residuals[np.arange(sources.size), np.searchsorted(touched, sources)] = 1.0
-    estimates = np.zeros_like(residuals)
-
-    has_dangling = bool(dangling.any())
-    dangling_columns = np.flatnonzero(dangling)
-
-    # Retired rows' sparse estimates, keyed by chunk-row index.
-    finished: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
-    def retire_rows(keep: np.ndarray) -> None:
-        nonlocal alive, live_sources, residuals, estimates
-        for row, row_estimates in zip(alive[~keep], estimates[~keep]):
-            nonzero = row_estimates != 0.0
-            finished[int(row)] = (touched[nonzero], row_estimates[nonzero].copy())
-        alive = alive[keep]
-        live_sources = live_sources[keep]
-        residuals = residuals[keep]
-        estimates = estimates[keep]
-
-    for _ in range(max_rounds):
-        active = residuals >= thresholds[touched][None, :]
-        columns_local = np.flatnonzero(active.any(axis=0))
-        if columns_local.size == 0:
-            break
         _bump_stats(stats, 2 * alive.size * touched.size)
-        live = active.any(axis=1)
+        dense = touched.size == num_nodes and (
+            columns.size > _DENSE_COLUMN_FRACTION * num_nodes
+            or alive.size * num_nodes < _SMALL_BLOCK
+        )
+        if dense:
+            sub = residuals
+            act = (
+                full_active
+                if full_active is not None
+                else residuals >= local_thresholds[None, :]
+            )
+        else:
+            sub = residuals[:, columns]
+            act = sub >= local_thresholds[columns][None, :]
+        full_active = None
+
+        live = act.any(axis=1)
         if not live.all():
-            active = active[live]
-            retire_rows(live)
+            retire(~live)
+            alive, live_sources, residuals, estimates, act = (
+                array[live] for array in (alive, live_sources, residuals, estimates, act)
+            )
             if alive.size == 0:
                 break
-
-        # ---- push: identical arithmetic to the column-sparse round ----
-        sub = residuals[:, columns_local]
-        act = active[:, columns_local]
+            sub = residuals if dense else sub[live]
         pushed = np.where(act, sub, 0.0)
-        estimates[:, columns_local] += alpha * pushed
-        residuals[:, columns_local] = sub - pushed
 
-        columns = touched[columns_local]
-        transition_rows = transition[columns]
-        destinations = np.unique(transition_rows.indices)
+        # Spread (1 - alpha) of the pushed mass uniformly over out-neighbours;
+        # the row-stochastic transition encodes the 1/degree split.  A
+        # compacted round spreads through the pushed columns' transition
+        # rows, compacted to the destinations they can reach.
+        if dense:
+            estimates += alpha * pushed
+            residuals -= pushed
+            pushed_nodes = touched
+            destinations = touched
+            spread = (spread_operator @ pushed.T).T
+        else:
+            estimates[:, columns] += alpha * pushed
+            residuals[:, columns] = sub - pushed
+            pushed_nodes = touched[columns]
+            transition_rows = transition[pushed_nodes]
+            destinations = transition_rows.indices
+            if has_dangling:
+                destinations = np.concatenate([destinations, live_sources])
+            destinations = np.unique(destinations)
+            compact = sp.csr_matrix(
+                (
+                    transition_rows.data,
+                    np.searchsorted(destinations, transition_rows.indices),
+                    transition_rows.indptr,
+                ),
+                shape=(columns.size, destinations.size),
+            )
+            spread = (compact.T @ pushed.T).T
         if has_dangling:
-            destinations = np.union1d(destinations, live_sources)
-        if destinations.size == 0:
+            # Dangling nodes return their mass to the originating source.
+            # The sum runs sequentially so that the compacted rounds (which
+            # see only the pushed dangling columns) and any row count give
+            # the same bits.
+            returned = pushed[:, dangling[pushed_nodes]]
+            if returned.shape[1]:
+                spread[
+                    np.arange(alive.size), np.searchsorted(destinations, live_sources)
+                ] += np.cumsum(returned, axis=1)[:, -1]
+
+        if dense:
+            residuals += (1.0 - alpha) * spread
+            column_active = None
             continue
-        compact = sp.csr_matrix(
-            (
-                transition_rows.data,
-                np.searchsorted(destinations, transition_rows.indices),
-                transition_rows.indptr,
-            ),
-            shape=(columns.size, destinations.size),
-        )
-        spread = (compact.T @ pushed.T).T
-        if has_dangling:
-            # Same shape *and F memory order* as the dense round's
-            # ``pushed[:, dangling]`` slice, so the returned-mass sums stay
-            # bit-identical (numpy's axis-1 reduction is order-sensitive).
-            in_dangling = dangling[columns]
-            returned = np.zeros((alive.size, dangling_columns.size), order="F")
-            if in_dangling.any():
-                returned[
-                    :, np.searchsorted(dangling_columns, columns[in_dangling])
-                ] = pushed[:, in_dangling]
-            spread[
-                np.arange(alive.size), np.searchsorted(destinations, live_sources)
-            ] += returned.sum(axis=1)
+        # Every active entry of a pushed column was pushed, so the column
+        # stays active only if it receives mass back (it is then a target).
+        column_active[columns] = False
+        targets = destinations
+        if touched.size < num_nodes:
+            grown = np.setdiff1d(destinations, touched, assume_unique=True)
+            if grown.size:
+                if 2 * (touched.size + grown.size) >= num_nodes:
+                    merged = np.arange(num_nodes)
+                else:
+                    merged = np.insert(touched, np.searchsorted(touched, grown), grown)
+                relocate = np.searchsorted(merged, touched)
+                residuals, estimates, column_active = (
+                    _widen(array, relocate, merged.size)
+                    for array in (residuals, estimates, column_active)
+                )
+                touched = merged
+                local_thresholds = thresholds[touched]
+            targets = np.searchsorted(touched, destinations)
+        residuals[:, targets] += (1.0 - alpha) * spread
+        column_active[targets] = (
+            residuals[:, targets] >= local_thresholds[targets][None, :]
+        ).any(axis=0)
 
-        # Grow the touched set with first-time destinations: new columns are
-        # exact zeros in the dense path until this very ``+=``, so extending
-        # the block with zero columns preserves bit-identity.
-        grown = np.setdiff1d(destinations, touched, assume_unique=True)
-        if grown.size:
-            merged = np.union1d(touched, grown)
-            relocate = np.searchsorted(merged, touched)
-            wider = np.zeros((alive.size, merged.size), dtype=np.float64)
-            wider[:, relocate] = residuals
-            residuals = wider
-            wider = np.zeros((alive.size, merged.size), dtype=np.float64)
-            wider[:, relocate] = estimates
-            estimates = wider
-            touched = merged
-        residuals[:, np.searchsorted(touched, destinations)] += (1.0 - alpha) * spread
-
-    retire_rows(np.zeros(alive.size, dtype=bool))
-
-    indptr = np.zeros(sources.size + 1, dtype=np.int64)
-    per_row = [finished.get(row, (empty_i, empty_f)) for row in range(sources.size)]
-    np.cumsum([indices.size for indices, _ in per_row], out=indptr[1:])
+    retire(np.ones(alive.size, dtype=bool))
+    if final is not None:
+        return sp.csr_matrix(final), num_nodes
     block = sp.csr_matrix(
         (
-            np.concatenate([data for _, data in per_row]) if per_row else empty_f,
-            np.concatenate([indices for indices, _ in per_row]) if per_row else empty_i,
-            indptr,
+            np.concatenate(done_values),
+            (np.concatenate(done_rows), np.concatenate(done_columns)),
         ),
         shape=(sources.size, num_nodes),
     )
     return block, int(touched.size)
+
+
+def _widen(array: np.ndarray, relocate: np.ndarray, width: int) -> np.ndarray:
+    """Copy ``array``'s last axis into positions ``relocate`` of a zero array
+    ``width`` wide (the new touched columns are exact zeros)."""
+    wider = np.zeros(array.shape[:-1] + (width,), dtype=array.dtype)
+    wider[..., relocate] = array
+    return wider
