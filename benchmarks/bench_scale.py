@@ -25,13 +25,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pickle
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+if not __package__:  # run as a script: make the ``benchmarks`` package importable
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from benchmarks.harness import available_cpus
 from repro.datasets.adapters import SyntheticBotnetAdapter
 from repro.graph import HeteroGraph
 from repro.ppr import multi_source_ppr
@@ -140,7 +144,7 @@ def measure_build_throughput(graph: HeteroGraph, centers: int, workers: int) -> 
         # Pooling only wins wall-clock with real cores to spread over; the
         # payload shrink (what actually travels to a worker) is the
         # machine-independent part of this section.
-        "host_cpus": os.cpu_count(),
+        "available_cpus": available_cpus(),
         "serial_s": serial_s,
         "pooled_s": pooled_s,
         "serial_subgraphs_per_s": centers / serial_s,

@@ -15,14 +15,19 @@ Not collected by pytest (no ``test_`` prefix); run it directly::
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+if not __package__:  # run as a script: make the ``benchmarks`` package importable
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from benchmarks.harness import available_cpus, best_of, collation_timings, epoch_chunks
 from repro.core.model import BSG4BotModel
 from repro.datasets import load_benchmark
-from repro.sampling import BiasedSubgraphBuilder, collate_many, collate_subgraphs
+from repro.sampling import BiasedSubgraphBuilder, collate_subgraphs
 from repro.tensor import Adam, cross_entropy
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_training.json"
@@ -36,44 +41,16 @@ HIDDEN_DIM = 32
 TIMED_EPOCHS = 3
 
 
-def _best_of(repeats: int, func):
-    """Best-of-N CPU time of ``func()`` (stable on shared machines)."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.process_time()
-        result = func()
-        best = min(best, time.process_time() - start)
-    return best, result
-
-
-def _epoch_chunks(num_nodes: int, rng: np.random.Generator):
-    order = rng.permutation(num_nodes)
-    return [order[start : start + BATCH_SIZE] for start in range(0, num_nodes, BATCH_SIZE)]
-
-
 def run(output_path: Path = RESULTS_PATH) -> dict:
     graph = load_benchmark(
         "mgtab", num_users=NUM_USERS, tweets_per_user=TWEETS_PER_USER, seed=0
     ).graph
     builder = BiasedSubgraphBuilder(graph, graph.features, k=SUBGRAPH_K)
 
-    build_start = time.process_time()
-    store = builder.build_store(range(graph.num_nodes))
-    construction_s = time.process_time() - build_start
+    construction_s, store = best_of(1, lambda: builder.build_store(range(graph.num_nodes)))
 
-    rng = np.random.default_rng(0)
-    chunks = _epoch_chunks(graph.num_nodes, rng)
-    # Warm both paths: per-subgraph normalization caches for the reference,
-    # the flat pack for the engine.
-    [collate_subgraphs(store.subgraphs(chunk), graph) for chunk in chunks]
-    [collate_many(store, chunk) for chunk in chunks]
-
-    reference_s, _ = _best_of(
-        3, lambda: [collate_subgraphs(store.subgraphs(c), graph) for c in chunks]
-    )
-    flat_s, _ = _best_of(3, lambda: [collate_many(store, c) for c in chunks])
-    cached_s, _ = _best_of(3, lambda: [store.collate(c) for c in chunks])
+    chunks = epoch_chunks(graph.num_nodes, BATCH_SIZE)
+    collation = collation_timings(graph, store, chunks)
 
     # Full training epochs (forward + backward + optimizer step) through the
     # reference collation vs the cached epoch engine.
@@ -112,14 +89,9 @@ def run(output_path: Path = RESULTS_PATH) -> dict:
             "batch_size": BATCH_SIZE,
             "batches_per_epoch": len(chunks),
         },
+        "available_cpus": available_cpus(),
         "construction": {"build_store_s": construction_s},
-        "collation": {
-            "reference_epoch_s": reference_s,
-            "flat_epoch_s": flat_s,
-            "cached_epoch_s": cached_s,
-            "flat_speedup": reference_s / flat_s,
-            "cached_speedup": reference_s / cached_s,
-        },
+        "collation": collation,
         "epoch": {
             "reference_epoch_s": epoch_reference_s,
             "engine_epoch_s": epoch_engine_s,

@@ -14,7 +14,9 @@ cluster router's throughput scaling — then gates two ways:
 * **Relative store-and-compare** (when a baseline exists): compare against
   the stored baseline — the file named by ``PERF_GATE_BASELINE`` (default
   ``benchmarks/results/BENCH_perfgate_baseline.json``; CI restores it from
-  the actions cache).  Wall-clock metrics may grow at most
+  the actions cache), which keeps one entry per available CPU count so
+  a run is never judged against a host with more or fewer cores.
+  Wall-clock metrics may grow at most
   ``relative_tolerance``x (override: ``PERF_GATE_RELATIVE_TOLERANCE``) over
   the baseline, ratios may shrink at most that factor — which catches the
   slow drift the generous absolute bounds cannot.  On success the baseline
@@ -36,26 +38,34 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
+if not __package__:  # run as a script: make the ``benchmarks`` package importable
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from benchmarks.bench_cluster import run_cluster_benchmark
+from benchmarks.bench_ingest import gate_metrics as ingest_gate_metrics
+from benchmarks.harness import (
+    available_cpus,
+    best_of,
+    collation_timings,
+    epoch_chunks,
+    forward_comparison,
+    measure_tracing_overhead,
+)
+from repro.core.config import BSG4BotConfig
 from repro.core.model import BSG4BotModel
+from repro.core.pipeline import BSG4Bot
 from repro.datasets import load_benchmark
 from repro.ppr import multi_source_ppr
 from repro.ppr.batch import _BLOCK_BUDGET
-from repro.sampling import BiasedSubgraphBuilder, Subgraph, collate_many, collate_subgraphs
+from repro.sampling import BiasedSubgraphBuilder, Subgraph, collate_subgraphs
 from repro.sampling.subgraph import _CollationPack
-from repro.tensor import Adam, softmax
-from repro.tensor.replay import ReplayEngine
+from repro.tensor import Adam
 from repro.tensor.train_replay import TrainReplayEngine, eager_train_step
-
-try:  # package import (pytest adds the repo root to sys.path)
-    from benchmarks.bench_ingest import gate_metrics as ingest_gate_metrics
-except ImportError:  # script import (sys.path[0] is benchmarks/)
-    from bench_ingest import gate_metrics as ingest_gate_metrics
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_perfgate.json"
 THRESHOLDS_PATH = Path(__file__).parent / "thresholds.json"
@@ -71,36 +81,9 @@ PPR_SMALL_SOURCES = 640
 PPR_REFERENCE_ROWS = 16
 
 
-def _best_of(repeats: int, func):
-    """Best-of-N CPU time (stable on shared CI runners)."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.process_time()
-        result = func()
-        best = min(best, time.process_time() - start)
-    return best, result
-
-
 def bench_collation(graph, store) -> dict:
-    rng = np.random.default_rng(0)
-    order = rng.permutation(graph.num_nodes)
-    chunks = [order[start : start + BATCH_SIZE] for start in range(0, order.size, BATCH_SIZE)]
-    # Warm both paths (per-subgraph normalization caches / the flat pack).
-    [collate_subgraphs(store.subgraphs(chunk), graph) for chunk in chunks]
-    [collate_many(store, chunk) for chunk in chunks]
-    reference_s, _ = _best_of(
-        3, lambda: [collate_subgraphs(store.subgraphs(c), graph) for c in chunks]
-    )
-    flat_s, _ = _best_of(3, lambda: [collate_many(store, c) for c in chunks])
-    cached_s, _ = _best_of(3, lambda: [store.collate(c) for c in chunks])
-    return {
-        "collation_reference_epoch_s": reference_s,
-        "collation_flat_epoch_s": flat_s,
-        "collation_cached_epoch_s": cached_s,
-        "collation_flat_speedup": reference_s / flat_s,
-        "collation_cached_speedup": reference_s / cached_s,
-    }
+    timings = collation_timings(graph, store, epoch_chunks(graph.num_nodes, BATCH_SIZE))
+    return {f"collation_{name}": value for name, value in timings.items()}
 
 
 def bench_pack_build(graph, store) -> dict:
@@ -110,7 +93,7 @@ def bench_pack_build(graph, store) -> dict:
     normalization is reused).  The pack must be byte-identical to the
     reference blocks."""
     subgraphs = store.subgraphs()
-    build_s, pack = _best_of(
+    build_s, pack = best_of(
         3, lambda: _CollationPack.build(subgraphs, graph.relation_names, True)
     )
 
@@ -118,7 +101,7 @@ def bench_pack_build(graph, store) -> dict:
         fresh = [Subgraph(sg.center, sg.nodes, sg.relation_edges) for sg in subgraphs]
         return collate_subgraphs(fresh, graph)
 
-    reference_s, batch = _best_of(3, reference)
+    reference_s, batch = best_of(3, reference)
     for name, block in batch.relation_adjacencies.items():
         rowcounts, indices, data, nnz_offsets = pack.relations[name]
         shift = np.repeat(pack.node_offsets[:-1], np.diff(nnz_offsets))
@@ -155,7 +138,7 @@ def _ppr_sweep(adjacency: sp.csr_matrix, sources: np.ndarray) -> tuple:
     """
     assert 2 * PPR_REFERENCE_ROWS * adjacency.shape[0] <= _BLOCK_BUDGET
     stats: dict = {}
-    sweep_s, scores = _best_of(
+    sweep_s, scores = best_of(
         2, lambda: multi_source_ppr(adjacency, sources, stats=stats)
     )
     reference = multi_source_ppr(adjacency, sources, chunk_rows=PPR_REFERENCE_ROWS)
@@ -184,9 +167,8 @@ def bench_model_forward(graph, store) -> dict:
 
     A random-initialized model (training time has no place in a perf gate)
     scored over a serving-shaped wave mix — mostly small waves with one
-    batch-size-bound wave — through ``repro.tensor.replay``.  Bit-identity
-    between the replayed and eager probabilities is asserted on every wave,
-    cold and steady, so a schedule that got faster by diverging fails CI.
+    batch-size-bound wave.  The shared comparison asserts bit identity on
+    every wave, cold and steady.
     """
     model = BSG4BotModel(
         graph.num_features,
@@ -199,32 +181,8 @@ def bench_model_forward(graph, store) -> dict:
         store.collate(rng.integers(0, graph.num_nodes, size=size))
         for size in (1, 8, 8, 32)
     ]
-
-    def eager_pass():
-        model.eval()
-        return [softmax(model(batch), axis=-1).numpy() for batch in batches]
-
-    engine = ReplayEngine()
-
-    def replay_pass():
-        return [engine.forward_proba(model, batch) for batch in batches]
-
-    reference = eager_pass()
-    for left, right in zip(reference, replay_pass()):  # traces cold buckets
-        assert np.array_equal(left, right), "replayed forward diverged from eager"
-    for left, right in zip(reference, replay_pass()):  # steady state
-        assert np.array_equal(left, right), "steady-state replay diverged from eager"
-    assert not engine.disabled, "replay engine disabled itself during the gate"
-    assert engine.consume_stats()["replay_misses"] <= len(batches), "replay cache thrashed"
-
-    eager_s, _ = _best_of(5, eager_pass)
-    replay_s, _ = _best_of(5, replay_pass)
-    count = len(batches)
-    return {
-        "model_eager_wave_s": eager_s / count,
-        "model_replay_wave_s": replay_s / count,
-        "model_replay_speedup": eager_s / replay_s,
-    }
+    forward = forward_comparison(model, batches)
+    return {name: value for name, value in forward.items() if name.startswith("model_")}
 
 
 def bench_train_step(graph, store) -> dict:
@@ -284,8 +242,8 @@ def bench_train_step(graph, store) -> dict:
 
     assert_same()  # traces and compiles both buckets
     assert not engine.disabled, "training replay disabled itself during the gate"
-    eager_s, _ = _best_of(5, eager_pass)
-    replay_s, _ = _best_of(5, replay_pass)
+    eager_s, _ = best_of(5, eager_pass)
+    replay_s, _ = best_of(5, replay_pass)
     assert_same()
     assert engine.stats["replay_misses"] == 2, "training replay recompiled a bucket"
     count = len(batches)
@@ -306,10 +264,6 @@ def bench_tracing(graph, store) -> dict:
     both arms equally.  The ratio's floor keeps always-on tracing cheap
     enough to actually leave on.
     """
-    from repro.core.config import BSG4BotConfig
-    from repro.core.pipeline import BSG4Bot
-    from repro.serving.bench import measure_tracing_overhead
-
     detector = BSG4Bot(BSG4BotConfig())
     detector.graph = graph
     detector.store = store
@@ -319,14 +273,7 @@ def bench_tracing(graph, store) -> dict:
         relation_names=graph.relation_names,
         rng=np.random.default_rng(5),
     )
-    metrics = measure_tracing_overhead(
-        detector, graph, max_batch_size=BATCH_SIZE
-    )
-    return {
-        "serving_trace_overhead_ratio": metrics["serving_trace_overhead_ratio"],
-        "serving_untraced_rps": metrics["serving_untraced_rps"],
-        "serving_traced_rps": metrics["serving_traced_rps"],
-    }
+    return measure_tracing_overhead(detector, graph, max_batch_size=BATCH_SIZE)
 
 
 def bench_cluster_scaling() -> dict:
@@ -342,18 +289,14 @@ def bench_cluster_scaling() -> dict:
     through serial full-graph scoring and that teardown leaks nothing, so
     a "fast but wrong" shard plan fails the gate outright.
     """
-    from repro.serving.cluster.bench import run_cluster_benchmark
-
     result = run_cluster_benchmark(
         num_users=200,
         shard_ladder=(1, 2),
         clients=8,
         requests_per_client=8,
-        nodes_per_request=4,
         max_batch_size=32,
         max_wait_ms=6.0,
         seed=0,
-        repeats=2,
         overrides={
             "pretrain_epochs": 10,
             "pretrain_hidden_dim": 32,
@@ -375,9 +318,7 @@ def bench_cluster_scaling() -> dict:
 def bench_build(graph):
     """Timed full-store build; returns (metrics, store) for reuse downstream."""
     builder = BiasedSubgraphBuilder(graph, graph.features, k=SUBGRAPH_K)
-    start = time.process_time()
-    store = builder.build_store(range(graph.num_nodes))
-    build_s = time.process_time() - start
+    build_s, store = best_of(1, lambda: builder.build_store(range(graph.num_nodes)))
     return {"build_store_s": build_s, "build_subgraphs": len(store)}, store
 
 
@@ -410,6 +351,7 @@ def run(output_path: Path = RESULTS_PATH) -> dict:
             "ppr_small_nodes": PPR_SMALL_NODES,
             "ppr_small_sources": PPR_SMALL_SOURCES,
         },
+        "available_cpus": available_cpus(),
         "metrics": metrics,
     }
     output_path.parent.mkdir(parents=True, exist_ok=True)
@@ -485,19 +427,46 @@ def merge_baseline(metrics: dict, baseline: dict, thresholds: dict) -> dict:
     return merged
 
 
-def load_baseline(path: Path) -> dict:
-    """Previous run's metrics, or an empty dict when absent/unreadable.
-
-    A corrupt or truncated baseline (an interrupted cache upload) must never
-    block CI — the gate falls back to the absolute bounds.
-    """
+def _read_json(path: Path) -> dict:
     try:
         with open(path) as handle:
             payload = json.load(handle)
-        metrics = payload.get("metrics", {})
-        return metrics if isinstance(metrics, dict) else {}
     except (OSError, ValueError):
         return {}
+    return payload if isinstance(payload, dict) else {}
+
+
+def load_baseline(path: Path, cpus: int | None = None) -> dict:
+    """Rolling-best metrics recorded on ``cpus``-CPU hosts (default: this
+    host's count), or an empty dict when absent/unreadable.
+
+    Cluster scaling and the build pool behave differently on one CPU and
+    on several, so the file keeps one metrics dict per CPU count and a run
+    is only compared against runs with its own count.  A legacy flat file
+    (one ``metrics`` dict) counts as this run's, so no run is compared
+    against less than before.  A corrupt or truncated baseline (an
+    interrupted cache upload) must never block CI — the gate falls back
+    to the absolute bounds.
+    """
+    payload = _read_json(path)
+    by_cpus = payload.get("metrics_by_cpus")
+    if isinstance(by_cpus, dict):
+        metrics = by_cpus.get(str(available_cpus() if cpus is None else cpus), {})
+    else:
+        metrics = payload.get("metrics", {})
+    return metrics if isinstance(metrics, dict) else {}
+
+
+def store_baseline(path: Path, metrics: dict, cpus: int, scale: dict) -> None:
+    """Record ``metrics`` as the ``cpus``-CPU baseline, keeping every other
+    CPU count's entry.  A legacy flat file is replaced: :func:`load_baseline`
+    handed its metrics to this run, so they are already merged in."""
+    by_cpus = _read_json(path).get("metrics_by_cpus")
+    by_cpus = dict(by_cpus) if isinstance(by_cpus, dict) else {}
+    by_cpus[str(cpus)] = metrics
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as handle:
+        json.dump({"scale": scale, "metrics_by_cpus": by_cpus}, handle, indent=2)
 
 
 def main() -> int:
@@ -516,32 +485,34 @@ def main() -> int:
     baseline_path = Path(
         os.environ.get("PERF_GATE_BASELINE", DEFAULT_BASELINE_PATH)
     )
-    baseline = load_baseline(baseline_path)
-    print(f"wrote {RESULTS_PATH}")
+    cpus = result["available_cpus"]
+    baseline = load_baseline(baseline_path, cpus)
+    print(f"wrote {RESULTS_PATH} ({cpus} available CPU(s))")
     for name, value in sorted(metrics.items()):
         print(f"  {name:<34} {value:.4f}")
     failures = check(metrics, thresholds, tolerance)
     if baseline:
         print(
-            f"comparing against baseline {baseline_path} "
+            f"comparing against the {cpus}-CPU baseline in {baseline_path} "
             f"(relative tolerance {relative_tolerance:g})"
         )
         failures += check_relative(metrics, baseline, thresholds, relative_tolerance)
     else:
-        print(f"no baseline at {baseline_path}; absolute thresholds only")
+        print(f"no {cpus}-CPU baseline in {baseline_path}; absolute thresholds only")
     if failures:
         print(f"\nPERF GATE FAILED ({len(failures)} regression(s)):")
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    # Store-and-compare: merge this passing run into the rolling-best
-    # baseline (CI persists the file through the actions cache).
-    baseline_path.parent.mkdir(parents=True, exist_ok=True)
-    stored = dict(result)
-    stored["metrics"] = merge_baseline(metrics, baseline, thresholds)
-    with open(baseline_path, "w") as handle:
-        json.dump(stored, handle, indent=2)
-    print(f"\nperf gate OK (tolerance {tolerance:g}); rolling-best baseline updated")
+    # Store-and-compare: merge this passing run into this CPU count's
+    # rolling-best baseline (CI persists the file through the actions cache).
+    store_baseline(
+        baseline_path, merge_baseline(metrics, baseline, thresholds), cpus, result["scale"]
+    )
+    print(
+        f"\nperf gate OK (tolerance {tolerance:g}); "
+        f"{cpus}-CPU rolling-best baseline updated"
+    )
     return 0
 
 

@@ -23,12 +23,6 @@ persists, and queries detectors exactly the way library consumers do:
     Load a saved artifact, rebuild its benchmark from the recorded
     provenance, and score the requested nodes (serve many).
 
-``python -m repro serve-bench [--clients 1,8,32] [--output FILE]``
-    Benchmark the online serving layer: micro-batched concurrent scoring
-    through :class:`repro.serving.DetectionService` vs naive per-request
-    ``score_nodes``, across an offered-load ladder (throughput, p50/p99
-    latency, batch occupancy).
-
 ``python -m repro serve <artifact> [--port 8099] [--num-shards 2]``
     Run the sharded asyncio HTTP/JSON scoring service: partition the
     artifact's graph into per-shard sessions behind a fan-out router and
@@ -172,28 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", dest="as_json",
         help="print machine-readable JSON instead of text",
     )
-
-    serve_parser = subparsers.add_parser(
-        "serve-bench", help="benchmark micro-batched serving vs per-request scoring"
-    )
-    serve_parser.add_argument("--users", type=int, default=200,
-                              help="synthetic benchmark size (default: 200)")
-    serve_parser.add_argument(
-        "--clients", type=_parse_nodes, default=[1, 8, 32], metavar="N,N,...",
-        help="offered-load ladder: concurrent client counts (default: 1,8,32)",
-    )
-    serve_parser.add_argument("--requests", type=int, default=16,
-                              help="requests per client (default: 16)")
-    serve_parser.add_argument("--nodes-per-request", type=int, default=1)
-    serve_parser.add_argument("--max-batch", type=int, default=64,
-                              help="micro-batch node budget per wave")
-    serve_parser.add_argument("--max-wait-ms", type=float, default=2.0,
-                              help="max linger before a short wave dispatches")
-    serve_parser.add_argument("--seed", type=int, default=0)
-    serve_parser.add_argument("--min-speedup", type=float, default=None,
-                              help="fail unless batched/naive throughput >= this")
-    serve_parser.add_argument("--output", default=None, metavar="FILE",
-                              help="also write the raw result JSON")
 
     cluster_parser = subparsers.add_parser(
         "serve", help="run the sharded HTTP/JSON scoring service from an artifact"
@@ -466,34 +438,9 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _cmd_serve_bench(args) -> int:
-    # Imported lazily: the serving layer (and its benchmark) pulls in the
-    # whole detector stack, which every other subcommand doesn't need.
-    from repro.serving import format_result, run_serving_benchmark
-
-    result = run_serving_benchmark(
-        num_users=args.users,
-        clients_ladder=args.clients,
-        requests_per_client=args.requests,
-        nodes_per_request=args.nodes_per_request,
-        max_batch_size=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        seed=args.seed,
-        min_speedup=args.min_speedup,
-    )
-    print(format_result(result))
-    if args.output:
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as handle:
-            json.dump(result, handle, indent=2, default=float)
-        print(f"\nresult written to {path}")
-    return 0
-
-
 def _cmd_serve(args) -> int:
-    # Lazy import for the same reason as serve-bench: the cluster layer
-    # pulls in the whole detector + serving stack.
+    # Imported lazily: the cluster layer pulls in the whole detector +
+    # serving stack, which every other subcommand doesn't need.
     from repro.obs import Tracer
     from repro.serving.cluster import ShardRouter, run_server
 
@@ -614,9 +561,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "score":
         return _cmd_score(args)
-
-    if args.command == "serve-bench":
-        return _cmd_serve_bench(args)
 
     if args.command == "serve":
         return _cmd_serve(args)

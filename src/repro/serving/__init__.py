@@ -18,11 +18,6 @@ exposes serving telemetry (:class:`ServingMetrics`).
 """
 
 from repro.serving.batcher import BatcherClosed, MicroBatcher, ScoreRequest
-from repro.serving.bench import (
-    format_result,
-    measure_tracing_overhead,
-    run_serving_benchmark,
-)
 from repro.serving.cluster import (
     ClusterHTTPServer,
     ClusterRequest,
@@ -52,8 +47,5 @@ __all__ = [
     "ShardPlanError",
     "ShardRouter",
     "ShardSpec",
-    "format_result",
-    "measure_tracing_overhead",
     "plan_shards",
-    "run_serving_benchmark",
 ]

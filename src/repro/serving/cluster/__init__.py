@@ -23,7 +23,6 @@ Three layers on top of :class:`repro.serving.DetectionService`:
         probabilities = router.score([17])            # sees the new edge
 """
 
-from repro.serving.cluster.bench import run_cluster_benchmark
 from repro.serving.cluster.http import ClusterHTTPServer, run_server
 from repro.serving.cluster.planner import (
     ShardPlan,
@@ -41,6 +40,5 @@ __all__ = [
     "ShardRouter",
     "ShardSpec",
     "plan_shards",
-    "run_cluster_benchmark",
     "run_server",
 ]

@@ -644,8 +644,8 @@ class DetectionService:
         Combines the request/wave/delta counters and latency histograms
         (:class:`repro.serving.ServingMetrics`) with live queue depths,
         delta-log positions, and the store's cache/build counters — the
-        fields the CLI (``repro serve-bench``) and
-        ``benchmarks/bench_serving.py`` consume.
+        fields ``benchmarks/bench_serving.py`` reads and ``repro serve``
+        returns per shard from JSON ``GET /metrics``.
         """
         store = self.session.store
         extra: Dict[str, object] = {

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import json
 
-from benchmarks.perf_gate import check, check_relative, load_baseline, merge_baseline
+from benchmarks.harness import available_cpus
+from benchmarks.perf_gate import (
+    check,
+    check_relative,
+    load_baseline,
+    merge_baseline,
+    store_baseline,
+)
 
 THRESHOLDS = {
     "metrics": {
@@ -112,3 +119,44 @@ class TestLoadBaseline:
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps({"metrics": [1, 2, 3]}))
         assert load_baseline(path) == {}
+
+
+class TestCpuKeyedBaseline:
+    TWO_CPU_BEST = {"sweep_s": 1.0, "speedup": 6.0}
+
+    def test_other_cpu_count_is_neither_read_nor_overwritten(self, tmp_path):
+        path = tmp_path / "baseline.json"
+        store_baseline(path, self.TWO_CPU_BEST, 2, {})
+        # A 1-CPU run has no baseline of its own: the 2-CPU best must not
+        # fail it, and its passing result must not replace the 2-CPU best.
+        assert load_baseline(path, 1) == {}
+        one_cpu = {"sweep_s": 3.0, "speedup": 2.0}
+        assert check_relative(one_cpu, load_baseline(path, 1), THRESHOLDS, 1.6) == []
+        store_baseline(path, merge_baseline(one_cpu, load_baseline(path, 1), THRESHOLDS), 1, {})
+        assert load_baseline(path, 1) == one_cpu
+        assert load_baseline(path, 2) == self.TWO_CPU_BEST
+
+    def test_legacy_flat_file_is_enforced(self, tmp_path):
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps({"metrics": self.TWO_CPU_BEST}))
+        for cpus in (1, 2):
+            baseline = load_baseline(path, cpus)
+            assert baseline == self.TWO_CPU_BEST
+            failures = check_relative(
+                {"sweep_s": 1.7, "speedup": 6.0}, baseline, THRESHOLDS, 1.6
+            )
+            assert len(failures) == 1 and "sweep_s" in failures[0]
+
+    def test_legacy_flat_file_is_rekeyed_to_the_run_that_merged_it(self, tmp_path):
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps({"metrics": self.TWO_CPU_BEST}))
+        run = {"sweep_s": 1.2, "speedup": 7.0}
+        store_baseline(path, merge_baseline(run, load_baseline(path, 1), THRESHOLDS), 1, {})
+        assert set(json.loads(path.read_text())["metrics_by_cpus"]) == {"1"}
+        assert load_baseline(path, 1) == {"sweep_s": 1.0, "speedup": 7.0}
+        assert load_baseline(path, 2) == {}
+
+    def test_defaults_to_this_hosts_cpu_count(self, tmp_path):
+        path = tmp_path / "baseline.json"
+        store_baseline(path, self.TWO_CPU_BEST, available_cpus(), {})
+        assert load_baseline(path) == self.TWO_CPU_BEST
