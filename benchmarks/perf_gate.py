@@ -2,10 +2,11 @@
 
 Runs small, deterministic micro-benchmarks over the engine's hot paths —
 flat collation, the cold collation-pack build, the PPR sweep (the fit's
-call shape and a 20k-node graph), a batched subgraph build, the
-capture-and-replay model forward, the compiled training step, dataset
-adapter ingestion (chunked throughput + cache warm start), and the sharded
-cluster router's throughput scaling — then gates two ways:
+call shape and a 20k-node graph), a verified 2-shard plan, a batched
+subgraph build, the capture-and-replay model forward, the compiled
+training step, dataset adapter ingestion (chunked throughput + cache warm
+start), and the sharded cluster router's throughput scaling — then gates
+two ways:
 
 * **Absolute bounds** (always): compare against ``benchmarks/thresholds.json``.
   Wall-clock thresholds carry a tolerance multiplier (CI runners are slower
@@ -60,10 +61,12 @@ from repro.core.config import BSG4BotConfig
 from repro.core.model import BSG4BotModel
 from repro.core.pipeline import BSG4Bot
 from repro.datasets import load_benchmark
+from repro.graph import HeteroGraph
 from repro.ppr import multi_source_ppr
 from repro.ppr.batch import _BLOCK_BUDGET
 from repro.sampling import BiasedSubgraphBuilder, Subgraph, collate_subgraphs
 from repro.sampling.subgraph import _CollationPack
+from repro.serving.cluster import plan_shards
 from repro.tensor import Adam
 from repro.tensor.train_replay import TrainReplayEngine, eager_train_step
 
@@ -160,6 +163,21 @@ def bench_ppr() -> dict:
         "ppr_frontier_peak_fraction": stats["peak_block_floats"]
         / (2 * PPR_SOURCES * PPR_NODES),
     }
+
+
+def bench_shard_plan() -> dict:
+    """A verified 2-shard ``plan_shards`` on the small PPR sweep's graph
+    (800 nodes, one relation), best of 3."""
+    adjacency = _ppr_graph(PPR_SMALL_NODES, 4, True).tocoo()
+    graph = HeteroGraph(
+        PPR_SMALL_NODES,
+        np.zeros((PPR_SMALL_NODES, 1)),
+        np.zeros(PPR_SMALL_NODES, dtype=np.int64),
+        {"r": (adjacency.row.astype(np.int64), adjacency.col.astype(np.int64))},
+    )
+    plan_s, plan = best_of(3, lambda: plan_shards(graph, 2, seed=0))
+    assert plan.verified
+    return {"shard_plan_s": plan_s, "shard_plan_sweeps": plan.verify_sweeps}
 
 
 def bench_model_forward(graph, store) -> dict:
@@ -332,6 +350,7 @@ def run(output_path: Path = RESULTS_PATH) -> dict:
         **bench_model_forward(graph, store),
         **bench_train_step(graph, store),
         **bench_ppr(),
+        **bench_shard_plan(),
         # Chunked ingestion throughput + content-addressed cache warm start
         # (asserts synthetic regeneration determinism internally).
         **ingest_gate_metrics(),

@@ -177,7 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_parser.add_argument("--num-shards", type=int, default=2,
                                 help="graph partitions / per-shard sessions (default: 2)")
     cluster_parser.add_argument("--halo-hops", type=int, default=1,
-                                help="starting halo width; widens per shard until verified")
+                                help="starting halo width; a shard starts at the hop its "
+                                     "full-graph PPR support needs when wider, and widens "
+                                     "one hop per failed check until verified")
     cluster_parser.add_argument("--no-verify", action="store_true",
                                 help="skip the plan-time PPR bit-identity verification")
     cluster_parser.add_argument("--max-batch", type=int, default=64,
@@ -479,7 +481,8 @@ def _cmd_serve(args) -> int:
     stats = router.plan.stats()
     print(
         f"  shards: owned={stats['owned_sizes']} halo={stats['halo_sizes']} "
-        f"hops={stats['halo_hops']} verified={stats['verified']}"
+        f"hops={stats['halo_hops']} verified={stats['verified']} "
+        f"plan_s={stats['plan_s']:.3f} verify_sweeps={stats['verify_sweeps']}"
     )
     run_server(
         router, host=args.host, port=args.port, max_inflight=args.max_inflight

@@ -17,7 +17,9 @@ from repro import api
 from repro.core import BSG4Bot, BSG4BotConfig
 from repro.graph import HeteroGraph
 from repro.ppr.batch import multi_source_ppr
+from repro.datasets.adapters.spec import DatasetSpec, ingest_spec
 from repro.sampling import biased
+from repro.sampling.clustering import greedy_partition
 from repro.serving import DetectionService
 from repro.serving.cluster import (
     ClusterHTTPServer,
@@ -144,6 +146,9 @@ class TestShardPlan:
         assert stats["num_shards"] == 2 and not stats["verified"]
         assert len(stats["owned_sizes"]) == 2
         assert len(stats["halo_hops"]) == 2
+        assert stats["verify_sweeps"] == 0 and stats["plan_s"] >= 0.0
+        verified = plan_shards(_make_graph(), 2, seed=0).stats()
+        assert verified["verified"] and verified["verify_sweeps"] >= 0
 
     def test_invalid_arguments(self):
         graph = _make_graph()
@@ -151,6 +156,234 @@ class TestShardPlan:
             plan_shards(graph, 0)
         with pytest.raises(ValueError):
             plan_shards(graph, 2, halo_hops=-1)
+
+
+# ----------------------------------------------------------------------
+# Plan search against the hop-by-hop oracle
+# ----------------------------------------------------------------------
+def _expand_closure(merged, owned_mask, hops):
+    """Boolean mask of nodes within ``hops`` BFS steps of ``owned_mask``."""
+    closure = owned_mask.copy()
+    frontier = owned_mask.copy()
+    for _ in range(hops):
+        rows = np.flatnonzero(frontier)
+        if rows.size == 0:
+            break
+        reached = np.asarray(merged[rows].sum(axis=0)).ravel() > 0
+        frontier = reached & ~closure
+        closure |= reached
+        if not frontier.any():
+            break
+    return closure
+
+
+def _hop_by_hop_plan(
+    graph, num_shards, *, halo_hops=1, max_halo_hops=16, seed=0, ppr_epsilon=1e-4
+):
+    """Oracle: the planner's original search.  Each failing shard widens its
+    halo by one BFS hop and re-runs the whole check, both sweeps included,
+    from scratch at every hop."""
+    merged = graph.merged_adjacency(symmetric=True)
+    ownership = greedy_partition(merged, num_shards, seed=seed)
+    full_sym = planner._symmetrized_relations(graph)
+    shards = []
+    for shard_id in range(num_shards):
+        owned_mask = ownership == shard_id
+        owned = np.flatnonzero(owned_mask)
+        hops = halo_hops
+        while True:
+            closure_mask = _expand_closure(merged, owned_mask, hops)
+            spec = ShardSpec(
+                shard_id=shard_id,
+                owned=owned,
+                closure=np.flatnonzero(closure_mask),
+                halo_hops=hops,
+                graph=planner._local_graph(graph, closure_mask, shard_id),
+                closure_mask=closure_mask,
+            )
+            reference = planner._ReferenceRows(full_sym, owned, 0.15, ppr_epsilon)
+            failure = planner._verify_shard(spec, graph, reference)
+            if failure is None:
+                break
+            if hops >= max_halo_hops or closure_mask.all():
+                raise ShardPlanError(
+                    f"shard {shard_id} still fails at halo_hops={hops}: {failure}"
+                )
+            hops += 1
+        shards.append(spec)
+    return shards
+
+
+def _random_graph(seed):
+    """A sparse random graph: 1-2 relations, directed or not, and a few
+    isolated nodes no closure of another shard can reach."""
+    rng = np.random.default_rng(seed)
+    num_nodes = int(rng.integers(24, 60))
+    isolated = rng.choice(num_nodes, size=int(rng.integers(1, 4)), replace=False)
+    active = np.setdiff1d(np.arange(num_nodes), isolated)
+    relations = {}
+    for index in range(int(rng.integers(1, 3))):
+        count = int(rng.integers(num_nodes // 2, 2 * num_nodes))
+        src, dst = rng.choice(active, count), rng.choice(active, count)
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+        if seed % 2:
+            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        relations[f"r{index}"] = (src, dst)
+    return HeteroGraph(
+        num_nodes, rng.normal(size=(num_nodes, 4)), np.zeros(num_nodes, dtype=np.int64),
+        relations,
+    )
+
+
+def _path_graph(num_nodes=12):
+    """A path: the PPR support of the first half's centers reaches its far end."""
+    src = np.arange(num_nodes - 1)
+    return HeteroGraph(
+        num_nodes, np.eye(num_nodes), np.zeros(num_nodes, dtype=np.int64),
+        {"r": (src, src + 1)},
+    )
+
+
+def _plan_or_error(plan, *args, **kwargs):
+    try:
+        return plan(*args, **kwargs), None
+    except ShardPlanError as error:
+        return None, str(error)
+
+
+def _equivalence_cases():
+    """(graph, num_shards, plan kwargs).  A coarse push (epsilon 1e-2) on
+    the sparser graphs leaves nodes just past the support whose truncated
+    degree lowers their push threshold, so local rows can still diverge at
+    the hop the support needs and the shard must widen past it."""
+    for seed in range(24):
+        kwargs = {"halo_hops": (seed // 3) % 3, "ppr_epsilon": 1e-2 if seed % 4 == 3 else 1e-4}
+        yield _random_graph(seed), 2 + seed % 3, kwargs
+    for num_shards in (2, 3, 4):
+        yield _make_graph(), num_shards, {}
+    yield _toy_plan()[1], 2, {"halo_hops": 0}
+    yield _toy_plan()[1], 2, {}
+    yield _path_graph(), 2, {}
+
+
+class _SweepCounter:
+    """Counts planner sweeps through a monkeypatched ``multi_source_ppr``,
+    keyed by the owned centers and by the relation of a full-graph sweep
+    (``None`` for a sweep on a shard-local graph)."""
+
+    def __init__(self, monkeypatch):
+        self.sweeps = []
+        self._full = {}
+        symmetrize = planner._symmetrized_relations
+
+        def recording_symmetrize(graph):
+            relations = symmetrize(graph)
+            if "shard_id" not in graph.metadata:
+                self._full.update({id(m): (name, m) for name, m in relations.items()})
+            return relations
+
+        def counting_ppr(adjacency, sources, **kwargs):
+            name, matrix = self._full.get(id(adjacency), (None, None))
+            relation = name if matrix is adjacency else None
+            self.sweeps.append((np.asarray(sources).tobytes(), relation))
+            return multi_source_ppr(adjacency, sources, **kwargs)
+
+        monkeypatch.setattr(planner, "_symmetrized_relations", recording_symmetrize)
+        monkeypatch.setattr(planner, "multi_source_ppr", counting_ppr)
+
+    def of(self, owned):
+        key = np.asarray(owned).tobytes()
+        return [relation for sources, relation in self.sweeps if sources == key]
+
+
+@pytest.fixture(scope="module")
+def e2ebench_graph():
+    """The e2ebench dataset at seed 1: 800 synthetic users, 2 relations."""
+    spec = DatasetSpec.from_dict({
+        "adapter": "synthetic",
+        "source": {"num_users": 800, "avg_degree": 8, "num_relations": 2,
+                   "separation": 2.5, "seed": 1},
+        "split": {"train_fraction": 0.6, "val_fraction": 0.2, "seed": 1},
+    })
+    return ingest_spec(spec, use_cache=False).graph
+
+
+class TestPlanSearch:
+    def test_plans_match_the_hop_by_hop_oracle(self):
+        outcomes = {"planned": 0, "rejected": 0}
+        for graph, num_shards, case in _equivalence_cases():
+            for max_halo_hops in (16, 1):
+                kwargs = dict(case, max_halo_hops=max_halo_hops, seed=0)
+                expected, expected_error = _plan_or_error(
+                    _hop_by_hop_plan, graph, num_shards, **kwargs
+                )
+                plan, error = _plan_or_error(plan_shards, graph, num_shards, **kwargs)
+                assert error == expected_error
+                if expected is None:
+                    outcomes["rejected"] += 1
+                    continue
+                outcomes["planned"] += 1
+                assert [spec.halo_hops for spec in plan.shards] == [
+                    spec.halo_hops for spec in expected
+                ]
+                for spec, want in zip(plan.shards, expected):
+                    assert np.array_equal(spec.owned, want.owned)
+                    assert np.array_equal(spec.closure, want.closure)
+                    assert np.array_equal(spec.closure_mask, want.closure_mask)
+                    for name in graph.relation_names:
+                        assert np.array_equal(
+                            spec.graph.relation(name).src, want.graph.relation(name).src
+                        )
+        # Both outcomes are exercised: the caps above reject some plans.
+        assert outcomes["planned"] >= 20 and outcomes["rejected"] >= 1
+
+    def test_support_beyond_max_halo_hops_is_rejected(self):
+        """On a path, the first shard's support reaches the far end, whose
+        closure saturates at hop 6.  Below that cap the search must fail at
+        the cap, as widening hop by hop does, and never jump to hop 6."""
+        graph = _path_graph()
+        plan = plan_shards(graph, 2, halo_hops=1)
+        assert plan.shards[0].halo_hops == 6 and plan.shards[0].closure_mask.all()
+        with pytest.raises(ShardPlanError, match="halo_hops=3"):
+            _hop_by_hop_plan(graph, 2, halo_hops=1, max_halo_hops=3)
+        with pytest.raises(ShardPlanError, match="halo_hops=3"):
+            plan_shards(graph, 2, halo_hops=1, max_halo_hops=3)
+
+    def test_full_graph_reference_swept_once_per_shard_and_relation(self, monkeypatch):
+        counter = _SweepCounter(monkeypatch)
+        widened = 0
+        for graph, num_shards, case in _equivalence_cases():
+            counter.sweeps.clear()
+            plan, _ = _plan_or_error(plan_shards, graph, num_shards, **case)
+            if plan is None:
+                continue
+            assert plan.verify_sweeps == len(counter.sweeps)
+            for spec in plan.shards:
+                swept = counter.of(spec.owned)
+                full = [relation for relation in swept if relation is not None]
+                assert len(full) == len(set(full))
+                widened += swept.count(None) > len(graph.relation_names)
+        # Some shard was checked at more than one halo width.
+        assert widened >= 1
+
+    def test_saturated_starting_closure_runs_no_sweep(self, monkeypatch, e2ebench_graph):
+        counter = _SweepCounter(monkeypatch)
+        plan = plan_shards(e2ebench_graph, 2, seed=0)
+        saturated = [spec for spec in plan.shards if spec.halo_hops == 1]
+        assert saturated and all(spec.closure_mask.all() for spec in saturated)
+        for spec in saturated:
+            assert counter.of(spec.owned) == []
+
+    def test_e2ebench_plan_needs_at_most_two_sweeps(self, monkeypatch, e2ebench_graph):
+        """The hop-by-hop search swept 4 times here: both graphs at hops 1
+        and 2 of shard 1, whose closure then saturates at hop 3."""
+        counter = _SweepCounter(monkeypatch)
+        plan = plan_shards(e2ebench_graph, 2, seed=0)
+        assert [spec.halo_hops for spec in plan.shards] == [1, 3]
+        assert len(counter.sweeps) <= 2
+        assert plan.verify_sweeps == len(counter.sweeps)
+        assert plan.stats()["verify_sweeps"] == len(counter.sweeps)
 
 
 # ----------------------------------------------------------------------
